@@ -1,22 +1,22 @@
 """E-robustness — supervision overhead and crash-recovery latency.
 
-PR 10's tentpole added the fault-tolerant sweep supervisor
-(:mod:`repro.parallel.supervisor`): per-shard watchdogs, bounded
-deterministic retries, and quarantine.  Supervision must be close to
-free when nothing goes wrong — the supervisor replaces the pool's
-``imap_unordered`` with per-shard processes plus a polling reaper, and
-this benchmark gates that the fault-free supervised sweep stays within
-``MAX_OVERHEAD`` of the plain parallel engine on the same geometry.
+The fault-tolerant sweep supervisor
+(:mod:`repro.parallel.supervisor`) adds per-shard watchdogs, bounded
+deterministic retries, and quarantine to the shard executor.
+Supervision must be close to free when nothing goes wrong — supervised
+and unsupervised sweeps run on the same long-lived, watched worker
+processes and differ only in the fault policy — and this benchmark
+gates that the fault-free supervised sweep stays within
+``MAX_OVERHEAD`` of the unsupervised sweep on the same geometry.
 It also measures (without gating — recovery cost depends on where in
 the shard the crash lands) the wall-clock price of one injected worker
 crash: the supervisor detects the dead process, re-executes the shard,
 and still merges a bit-identical result.
 
 Methodology: one untimed supervised sweep first asserts bit-identical
-runs/metrics against the plain engine and warms caches.  Timed sweeps
+runs/metrics against the unsupervised sweep and warms caches.  Timed sweeps
 then run journal- and telemetry-free on the fork context (worker
-startup is process creation, which is what supervision could plausibly
-tax; fork keeps the non-supervision share of it small and equal on
+startup is process creation; fork keeps that share small and equal on
 both sides).  Wall times are best-of-``REPS``; the overhead gate is
 in-process (both sides measured in the same session on the same host).
 Recovery latency is reported as (crashy supervised walltime) minus
@@ -161,7 +161,7 @@ def test_bench_supervision_overhead(benchmark, report):
 
     dump_bench([record], "robustness")
 
-    # CI regression gate (see .github/workflows/ci.yml chaos-smoke).
+    # CI regression gate (see .github/workflows/ci.yml sweep-smoke).
     assert overhead <= MAX_OVERHEAD, (
         f"fault-free supervised sweep costs {overhead:.3f}x over the "
         f"plain engine (gate {MAX_OVERHEAD:.2f}x)"

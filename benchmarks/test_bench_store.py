@@ -168,7 +168,7 @@ def test_bench_store_warm_cache(benchmark, report, tmp_path):
 
     dump_bench([record], "store")
 
-    # CI regression gate (see .github/workflows/ci.yml store-smoke).
+    # CI regression gate (see .github/workflows/ci.yml sweep-smoke).
     assert ratio >= MIN_SPEEDUP, (
         f"warm-cache sweep only {ratio:.1f}x over cold "
         f"(gate {MIN_SPEEDUP:.0f}x)"

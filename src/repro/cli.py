@@ -569,9 +569,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.store:
         from repro.store import RunStore
 
-        if args.timing or args.profile:
-            raise SystemExit("--store needs the sharded engine, which "
-                             "cannot host --timing/--profile sinks")
         store = RunStore(args.store)
 
     inputs = tuple(args.inputs.split(","))
@@ -626,7 +623,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         journal_path=args.journal,
         telemetry_path=args.telemetry,
         store=store,
-        supervise=supervise,
         policy=policy,
     )
 

@@ -62,7 +62,6 @@ def solve(
     max_steps: int = 100_000,
     record_trace: bool = False,
     sinks: Sequence = (),
-    fast: Optional[bool] = None,
     memory=None,
     engine: Optional[str] = None,
 ) -> ConsensusOutcome:
@@ -88,9 +87,6 @@ def solve(
         Observability sinks (:mod:`repro.obs`) to attach to the run —
         e.g. a :class:`~repro.obs.metrics.MetricsRegistry` or a
         :class:`~repro.obs.journal.JsonlJournal`.
-    fast:
-        Deprecated boolean alias for ``engine`` (``True`` → ``"fast"``,
-        ``False`` → ``"reference"``); passing it warns.
     memory:
         Register semantics: ``None`` (atomic, the default), a name in
         ``("atomic", "regular", "safe")``, or a
@@ -110,7 +106,7 @@ def solve(
     """
     from repro.engines import resolve_sim_engine
 
-    engine = resolve_sim_engine(engine, fast, caller="solve").name
+    engine = resolve_sim_engine(engine).name
     rng = ReplayableRng(seed)
     if scheduler is None:
         from repro.sched.simple import RandomScheduler

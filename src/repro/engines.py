@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
-import warnings
 from typing import Dict, Optional, Tuple
 
 #: Engine kinds (registry namespaces).
@@ -153,22 +152,8 @@ def resolve_engine(kind: str, name: Optional[str] = None) -> EngineInfo:
     return info
 
 
-def resolve_sim_engine(engine: Optional[str] = None,
-                       fast: Optional[bool] = None,
-                       caller: str = "Simulation") -> EngineInfo:
-    """Resolve a sim engine honoring the deprecated ``fast=`` alias.
-
-    ``fast`` predates named engines (``True`` → ``"fast"``, ``False`` →
-    ``"reference"``); passing it emits a :class:`DeprecationWarning`
-    and it is ignored entirely when ``engine`` is also given.
-    """
-    if fast is not None:
-        warnings.warn(
-            f"{caller}(fast=...) is deprecated; pass engine='fast' or "
-            f"engine='reference' instead (see repro.engines)",
-            DeprecationWarning, stacklevel=3)
-        if engine is None:
-            engine = "fast" if fast else "reference"
+def resolve_sim_engine(engine: Optional[str] = None) -> EngineInfo:
+    """Resolve a sim engine name (``None`` → the registry default)."""
     return resolve_engine(SIM, engine)
 
 

@@ -10,7 +10,7 @@ tail snapshot of the ``run_steps`` distribution (p50/p90/p99/max plus
 how many runs arrived since the previous beat).
 
 Transport is deliberately dumb: heartbeats cross process boundaries as
-dicts on a ``multiprocessing`` manager queue (see
+dicts on each worker's pipe to the parent (see
 :mod:`repro.parallel.engine`), and the parent appends them to a JSONL
 *telemetry file* — which makes the live feed replayable, greppable,
 and consumable by the ``repro top`` follower (:func:`render_top`)
@@ -66,8 +66,8 @@ class Heartbeat:
 class TelemetryEmitter:
     """Per-shard heartbeat source; lives inside the worker.
 
-    ``sink`` is any callable taking a heartbeat *dict* — a manager
-    queue's ``put`` in sharded sweeps, a file-appender in serial ones.
+    ``sink`` is any callable taking a heartbeat *dict* — a send over
+    the worker's pipe in sharded sweeps, a file-appender in-process.
     ``every`` is the emission stride in runs (default ~1% of the
     shard, at least 1); the final :meth:`finish` beat always fires, so
     even a tiny shard reports exactly once.

@@ -7,16 +7,18 @@ takes run counts that are slow in a single process.  Runs are
 independent experiments keyed by ``derive_seed(root_seed, "run", i)``,
 so they shard across processes with bit-identical results:
 
-* :mod:`repro.parallel.engine` — :func:`run_parallel` splits the run
-  index range into contiguous shards, executes each in a
-  ``multiprocessing`` worker with its own metrics registry / journal
-  shard, and deterministically merges everything back into one
-  :class:`~repro.sim.runner.BatchStats`.
-* :mod:`repro.parallel.supervisor` — :func:`run_supervised`, the
-  fault-tolerant sibling: each shard in its own watched child process
-  with deterministic bounded retries, engine degradation, and
-  quarantine — same bit-identical merge, plus a structured
-  :class:`FaultReport` (see ``docs/ROBUSTNESS.md``).
+* :mod:`repro.parallel.engine` — :func:`run_parallel`, the one shard
+  executor behind every sweep: it splits the run index range into
+  contiguous shards, serves committed ones from the store, executes
+  the rest in-process or on at most ``workers`` long-lived, watched
+  worker processes (each shard with its own metrics registry /
+  journal shard), and deterministically merges everything back into
+  one :class:`~repro.sim.runner.BatchStats`.
+* :mod:`repro.parallel.supervisor` — the supervision policy:
+  :func:`run_supervised` is ``run_parallel`` with a
+  :class:`SupervisorPolicy` (deterministic bounded retries, engine
+  degradation, quarantine) — same bit-identical merge, plus a
+  structured :class:`FaultReport` (see ``docs/ROBUSTNESS.md``).
 * :mod:`repro.parallel.tasks` — picklable factory specs
   (:class:`ProtocolSpec`, :class:`SchedulerSpec`,
   :class:`ConstantInputs`) so task descriptions survive the ``spawn``

@@ -1,4 +1,4 @@
-"""Process-pool execution engine for Monte-Carlo batches.
+"""The shard executor behind every Monte-Carlo sweep.
 
 Runs in a batch are independent coin-flip experiments: every stochastic
 stream of run ``i`` derives from ``derive_seed(root_seed, "run", i)``
@@ -6,11 +6,26 @@ stream of run ``i`` derives from ``derive_seed(root_seed, "run", i)``
 outcome depends only on the root seed and its index — never on which
 process executes it or in what order.  That makes batches trivially
 shardable: split the index range ``[0, n_runs)`` into contiguous
-shards, execute each shard in a worker process, and merge the shards
-back in index order.  The merged result is bit-identical to a serial
-run with the same root seed, at any worker count and any shard size.
+shards, execute them anywhere, and merge the shards back in index
+order.  The merged result is bit-identical to a serial run with the
+same root seed, at any worker count and any shard size.
 
-Each worker observes its shard with its own
+:func:`run_parallel` is the one place a sweep is planned, cached,
+executed, committed and merged.  Shards execute either
+
+* **in-process**, on the caller's own runner and sinks, when
+  ``workers == 1`` and there is no supervision policy and no fault
+  plan; or
+* on at most ``workers`` **long-lived worker processes**, each
+  connected to the parent by one duplex pipe carrying tasks, results
+  and heartbeats.  A worker runs shard after shard; one that crashes,
+  hangs past ``policy.shard_timeout`` or raises is killed or retired
+  and replaced, and the shard's fate follows the
+  :class:`~repro.parallel.supervisor.SupervisorPolicy`.  Unsupervised
+  sweeps run under ``on_fault="fail"``: the first fault aborts them
+  with a :class:`~repro.parallel.supervisor.SupervisorError`.
+
+Each shard observes itself with its own
 :class:`~repro.obs.metrics.MetricsRegistry` (and, when asked, its own
 JSONL journal shard).  The merge step is deterministic:
 
@@ -24,31 +39,38 @@ JSONL journal shard).  The merge step is deterministic:
   :func:`~repro.obs.journal.concatenate_journals`, keeping a single
   header line — byte-identical to the journal a serial run writes.
 
-Task specs must pickle (the engine checks up front and raises a
-descriptive error otherwise): use module-level factory functions or the
-spec classes in :mod:`repro.parallel.tasks`.  The default start method
-is ``spawn`` — the only method that is safe on every platform — so
-workers re-import the library rather than inheriting interpreter state.
-On POSIX hosts ``mp_context="fork"`` skips the per-worker interpreter
-start-up and is measurably faster for short batches.
+Shards that leave the process need picklable task specs (the engine
+checks up front and raises a descriptive error otherwise): use
+module-level factory functions or the spec classes in
+:mod:`repro.parallel.tasks`.  The default start method is ``spawn`` —
+the only method that is safe on every platform — so workers re-import
+the library rather than inheriting interpreter state.  On POSIX hosts
+``mp_context="fork"`` skips the per-worker interpreter start-up.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import multiprocessing
 import os
 import pickle
-import queue as queue_module
-from typing import Any, Callable, Hashable, List, Optional, Sequence, Tuple
+import time
+import traceback
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.engines import SIM, default_engine, resolve_sim_engine
+from repro.engines import resolve_sim_engine
+from repro.faults import corrupt_file, trigger_worker_fault
 from repro.obs.journal import JsonlJournal, concatenate_journals
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetryEmitter, file_sink
+from repro.parallel.supervisor import (FaultEvent, FaultReport,
+                                       SupervisorError, SupervisorPolicy,
+                                       degraded_engine)
 from repro.sim.memory import ATOMIC, MemorySpec
+
+#: Policy of unsupervised sweeps whose shards leave the process.
+_UNSUPERVISED = SupervisorPolicy(on_fault="fail")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,9 +86,6 @@ class BatchSpec:
     inputs_factory: Callable
     seed: int
     strict: bool = False
-    #: Deprecated boolean alias for ``engine`` (``True`` → ``"fast"``,
-    #: ``False`` → ``"reference"``); passing it warns at construction.
-    fast: Optional[bool] = None
     #: Register semantics of every run (picklable; see repro.sim.memory).
     memory: MemorySpec = ATOMIC
     #: Execution backend name, resolved through the engine registry
@@ -76,19 +95,14 @@ class BatchSpec:
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # Validate (and warn for the deprecated alias) once, in the
-        # submitting process; workers rebuild specs via pickle, which
-        # skips __init__, so neither fires again per shard.
-        resolve_sim_engine(self.engine, self.fast, caller="BatchSpec")
+        # Validate once, in the submitting process; workers rebuild
+        # specs via pickle, which skips __init__.
+        resolve_sim_engine(self.engine)
 
     @property
     def resolved_engine(self) -> str:
-        """The effective engine name (alias applied, default filled)."""
-        if self.engine is not None:
-            return self.engine
-        if self.fast is not None:
-            return "fast" if self.fast else "reference"
-        return default_engine(SIM).name
+        """The effective engine name (default filled in)."""
+        return resolve_sim_engine(self.engine).name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,12 +117,10 @@ class ShardTask:
     journal_path: Optional[str] = None
     #: Position of this shard in the batch plan (heartbeat identity).
     shard_index: int = 0
-    #: Anything with a ``put(dict)`` method — a ``multiprocessing``
-    #: manager queue proxy in sharded sweeps (proxies pickle), or the
-    #: in-process :class:`_FileChannel` — receiving live heartbeat
-    #: dicts (see :mod:`repro.obs.telemetry`).  ``None`` disables
-    #: telemetry for the shard.
-    telemetry_queue: Optional[Any] = None
+    #: Emit live heartbeats (see :mod:`repro.obs.telemetry`).  The
+    #: executor decides where they go: straight into the telemetry
+    #: file in-process, over the worker's pipe to the parent otherwise.
+    telemetry: bool = False
 
 
 @dataclasses.dataclass
@@ -129,8 +141,8 @@ def plan_shards(n_runs: int, workers: int,
     The default shard size is ``ceil(n_runs / workers)`` — one shard
     per worker, the lowest-overhead choice for uniform runs.  Pass a
     smaller ``shard_size`` when per-run cost varies (adversarial
-    schedulers, mixed inputs) so the pool can load-balance; results are
-    identical either way.
+    schedulers, mixed inputs) so idle workers can load-balance; results
+    are identical either way.
     """
     if n_runs < 0:
         raise ValueError(f"n_runs must be >= 0, got {n_runs}")
@@ -147,36 +159,42 @@ def shard_journal_path(journal_path: str, shard_index: int) -> str:
     return f"{journal_path}.shard{shard_index:04d}"
 
 
-def _execute_shard(task: ShardTask) -> ShardResult:
-    """Worker entry point: run one shard with its own sinks.
-
-    Module-level (not a closure) so it pickles under the ``spawn``
-    start method.  Reuses :class:`ExperimentRunner` — the exact code
-    path of a serial batch — with the shard's private registry and
-    journal attached.
-    """
+def _spec_runner(spec: BatchSpec):
+    """A sink-less :class:`ExperimentRunner` rebuilt from ``spec``."""
     from repro.sim.runner import ExperimentRunner
 
+    return ExperimentRunner(
+        protocol_factory=spec.protocol_factory,
+        scheduler_factory=spec.scheduler_factory,
+        inputs_factory=spec.inputs_factory,
+        seed=spec.seed,
+        strict=spec.strict,
+        memory=spec.memory,
+        engine=spec.resolved_engine,
+    )
+
+
+def _execute_shard(task: ShardTask, runner, sinks=(),
+                   beat: Optional[Callable[[Dict[str, Any]], None]] = None
+                   ) -> ShardResult:
+    """Run one shard on ``runner`` with the shard's private sinks.
+
+    ``sinks`` are extra observers (the caller's own, in-process);
+    ``beat`` receives the shard's heartbeat dicts when
+    ``task.telemetry`` is set.  This is the exact code path of every
+    shard, in-process or in a worker.
+    """
     registry = MetricsRegistry() if task.with_metrics else None
     journal = (JsonlJournal(task.journal_path, memory=task.spec.memory.name)
                if task.journal_path is not None else None)
-    sinks = tuple(s for s in (registry, journal) if s is not None)
-    runner = ExperimentRunner(
-        protocol_factory=task.spec.protocol_factory,
-        scheduler_factory=task.spec.scheduler_factory,
-        inputs_factory=task.spec.inputs_factory,
-        seed=task.spec.seed,
-        strict=task.spec.strict,
-        sinks=sinks,
-        memory=task.spec.memory,
-        engine=task.spec.resolved_engine,
-    )
+    shard_sinks = tuple(sinks) + tuple(
+        s for s in (registry, journal) if s is not None)
     emitter = None
-    if task.telemetry_queue is not None:
+    if task.telemetry:
         emitter = TelemetryEmitter(task.shard_index, task.stop - task.start,
-                                   task.telemetry_queue.put)
+                                   beat)
     runs = runner.run_range(task.start, task.stop, task.max_steps,
-                            emitter=emitter)
+                            sinks=shard_sinks, emitter=emitter)
     if emitter is not None:
         emitter.finish()
     events = 0
@@ -187,48 +205,47 @@ def _execute_shard(task: ShardTask) -> ShardResult:
                        metrics=registry, journal_events=events)
 
 
-class _FileChannel:
-    """In-process stand-in for the manager queue: ``put`` appends JSONL.
+def _worker(conn) -> None:
+    """Worker process body: run shards from the pipe until told to stop.
 
-    Used on the no-pool path (one shard, or ``workers == 1``) so the
-    shard code is identical either way — it just calls ``put``.
+    Module-level so it pickles under ``spawn``.  Each message is a
+    ``(ShardTask, FaultAction | None)`` pair, or ``None`` to stop.  The
+    worker answers ``("beat", dict)`` heartbeats, then ``("ok",
+    ShardResult)``, or ``("error", summary, traceback)`` after which
+    it exits (a worker that raised is retired, never reused).  An
+    injected (or real) crash sends nothing: the parent sees pipe EOF.
+    The injected fault, if any, triggers *before* the shard does any
+    work, so a crash or hang never leaves a half-observed shard.
+
+    The runner is rebuilt only when the spec changes, so shards of one
+    sweep share its transition cache, as a serial batch does.
     """
+    runner = spec = None
 
-    def __init__(self, fh) -> None:
-        self._sink = file_sink(fh)
+    def beat(d: Dict[str, Any]) -> None:
+        conn.send(("beat", d))
 
-    def put(self, d) -> None:
-        self._sink(d)
-
-
-def _drain_heartbeats(beats, fh, async_result) -> None:
-    """Stream heartbeat dicts off the queue into the telemetry file.
-
-    Runs in the parent while the pool works; returns once the pool is
-    done *and* the queue is empty, so the file always ends with every
-    shard's final ``done`` beat.  The final drain happens strictly
-    after ``async_result`` completes: a worker's ``put`` is a
-    synchronous manager RPC that returns before its task does, so once
-    every task has returned, every beat is already in the queue — a
-    blocking-with-timeout drain then empties it without racing the
-    manager, where the old ``get_nowait`` sweep could drop a
-    final-shard beat still crossing the proxy.
-    """
-    def _append(d) -> None:
-        fh.write(json.dumps(d, sort_keys=True) + "\n")
-        fh.flush()
-
-    while not async_result.ready():
-        try:
-            _append(beats.get(timeout=0.05))
-        except queue_module.Empty:
-            pass
-    async_result.wait()
-    while True:
-        try:
-            _append(beats.get(timeout=0.2))
-        except queue_module.Empty:
-            break
+    try:
+        while True:
+            message = conn.recv()
+            if message is None:
+                return
+            task, fault = message
+            try:
+                if fault is not None:
+                    trigger_worker_fault(fault)
+                if task.spec != spec:
+                    runner, spec = _spec_runner(task.spec), task.spec
+                result = _execute_shard(task, runner, beat=beat)
+            except Exception as exc:  # noqa: BLE001 - forwarded
+                conn.send(("error", f"{type(exc).__name__}: {exc}",
+                           traceback.format_exc()))
+                return
+            conn.send(("ok", result))
+    except (EOFError, OSError):
+        return  # the parent went away
+    finally:
+        conn.close()
 
 
 def _check_picklable(spec: BatchSpec) -> None:
@@ -256,9 +273,8 @@ def _warm_imports() -> None:
     first call, so a worker's first shard pays ~100ms of imports the
     parent never triggered.  Under the ``fork`` start method children
     inherit the parent's loaded modules — importing here once makes
-    every forked worker (pool worker or per-shard supervised child)
-    start warm.  Harmless under ``spawn``, where children re-import
-    regardless.
+    every forked worker start warm.  Harmless under ``spawn``, where
+    children re-import regardless.
     """
     import repro.core  # noqa: F401
     import repro.sched  # noqa: F401
@@ -279,6 +295,132 @@ def _shard_payload(task: ShardTask, result: ShardResult):
         journal_events=result.journal_events)
 
 
+@dataclasses.dataclass
+class _Attempt:
+    """One execution attempt of a shard, launchable after ``not_before``."""
+
+    shard: int
+    attempt: int
+    engine: str
+    not_before: float = 0.0
+
+
+@dataclasses.dataclass
+class _Worker:
+    """A live worker process and the attempt it is running, if any."""
+
+    proc: Any
+    conn: Any
+    job: Optional[_Attempt] = None
+    deadline: Optional[float] = None
+
+
+def _run_on_workers(jobs: List[_Attempt], workers: int, ctx,
+                    policy: SupervisorPolicy, plan, make_task,
+                    on_done, on_fault, beat) -> None:
+    """Drive ``jobs`` through at most ``workers`` watched processes.
+
+    ``on_done(job, result)`` and ``on_fault(job, kind, detail)`` return
+    the retry attempt to enqueue, if any; ``on_fault`` may raise to
+    abort the sweep.  Workers start on demand, run shard after shard,
+    and are replaced when one crashes, times out or raises.
+    """
+    from multiprocessing.connection import wait as wait_for
+
+    pending = list(jobs)
+    live: List[_Worker] = []
+
+    def start() -> _Worker:
+        conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_worker, args=(child_conn,), daemon=True)
+        proc.start()
+        child_conn.close()
+        worker = _Worker(proc=proc, conn=conn)
+        live.append(worker)
+        return worker
+
+    def retire(worker: _Worker, kill: bool = False) -> None:
+        if kill:
+            worker.proc.kill()
+        worker.proc.join()
+        worker.conn.close()
+        live.remove(worker)
+
+    def fail(worker: _Worker, kind: str, detail: str) -> None:
+        job, worker.job = worker.job, None
+        retry = on_fault(job, kind, detail)
+        if retry is not None:
+            pending.append(retry)
+
+    def receive(worker: _Worker) -> None:
+        while worker.job is not None and worker.conn.poll():
+            try:
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                # EOF without a report: the worker died before sending
+                # (os._exit, OOM kill, segfault).
+                retire(worker)
+                fail(worker, "crash", f"worker exited with code "
+                                      f"{worker.proc.exitcode} before "
+                                      f"reporting")
+                return
+            if message[0] == "beat":
+                beat(message[1])
+            elif message[0] == "ok":
+                job, worker.job = worker.job, None
+                retry = on_done(job, message[1])
+                if retry is not None:
+                    pending.append(retry)
+            else:
+                retire(worker)
+                fail(worker, "exception", message[1])
+
+    try:
+        while pending or any(w.job is not None for w in live):
+            now = time.monotonic()
+            for job in [p for p in pending if p.not_before <= now]:
+                idle = next((w for w in live if w.job is None), None)
+                if idle is None:
+                    if len(live) >= workers:
+                        break
+                    idle = start()
+                pending.remove(job)
+                fault = plan.worker_action(job.shard, job.attempt) \
+                    if plan else None
+                idle.conn.send((make_task(job.shard, job.engine), fault))
+                idle.job = job
+                idle.deadline = (now + policy.shard_timeout
+                                 if policy.shard_timeout is not None
+                                 else None)
+
+            busy = [w for w in live if w.job is not None]
+            wakes = [w.deadline for w in busy if w.deadline is not None]
+            wakes += [p.not_before for p in pending if p.not_before > now]
+            timeout = max(0.0, min(wakes) - now) if wakes else None
+            if not busy:
+                time.sleep(timeout or 0.0)
+                continue
+            ready = wait_for([w.conn for w in busy], timeout)
+            for worker in busy:
+                if worker.conn in ready:
+                    receive(worker)
+                elif worker.deadline is not None \
+                        and time.monotonic() > worker.deadline:
+                    retire(worker, kill=True)
+                    fail(worker, "timeout",
+                         f"exceeded shard_timeout={policy.shard_timeout}s;"
+                         f" killed")
+    finally:
+        for worker in list(live):
+            if worker.job is None:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+            worker.proc.join(timeout=5 if worker.job is None else 0)
+            retire(worker, kill=worker.proc.is_alive())
+
+
 def run_parallel(
     spec: BatchSpec,
     n_runs: int,
@@ -290,6 +432,9 @@ def run_parallel(
     registry: Optional[MetricsRegistry] = None,
     mp_context: str = "spawn",
     store=None,
+    policy: Optional[SupervisorPolicy] = None,
+    fault_plan=None,
+    runner=None,
 ):
     """Execute a sharded batch and merge it back into one ``BatchStats``.
 
@@ -308,55 +453,99 @@ def run_parallel(
         header, shard order) into ``journal_path`` and removed.
     telemetry_path:
         Live-progress JSONL file (see :mod:`repro.obs.telemetry`).
-        Workers push per-shard heartbeats over a manager queue; the
-        parent appends them here while the pool runs, so ``repro top
-        <path>`` follows the sweep from another terminal.  Heartbeats
-        carry wall-clock rates — the file differs between repeats of
-        the same seeded sweep even though the returned stats do not.
+        Shards emit heartbeats (over their worker's pipe when out of
+        process) and the parent appends them here as they arrive, so
+        ``repro top <path>`` follows the sweep from another terminal.
+        Fault records interleave as ``{"kind": "fault", ...}``.
+        Heartbeats carry wall-clock rates — the file differs between
+        repeats of the same seeded sweep even though the returned stats
+        do not.
     mp_context:
         ``multiprocessing`` start method.  ``"spawn"`` (default) works
         everywhere; ``"fork"`` is faster where available.
     store:
         Optional :class:`~repro.store.RunStore`.  Shards already
         committed under this sweep's content address ``(spec_hash,
-        root_seed, index_range)`` are loaded instead of executed;
-        every freshly executed shard is committed (atomic tmp+rename)
-        as soon as it finishes — in execution order on the in-process
-        path, in shard order after a pool drains — so an interrupted
-        sweep resumes from its last committed shard.  The returned
-        stats carry a :class:`~repro.store.StoreStats` accounting.
+        root_seed, index_range)`` are loaded instead of executed (a
+        damaged one is healed: quarantined as ``*.corrupt`` and
+        recomputed); every freshly executed shard is committed (atomic
+        tmp+rename) the moment it finishes, so an interrupted sweep
+        resumes from its last committed shard.  The returned stats
+        carry a :class:`~repro.store.StoreStats` accounting.
+    policy:
+        A :class:`~repro.parallel.supervisor.SupervisorPolicy` makes
+        the sweep supervised: shards always run on worker processes
+        (even at ``workers=1``) and the stats carry a
+        :class:`~repro.parallel.supervisor.FaultReport` on ``.faults``.
+        Without one, ``.faults`` is ``None`` and the first fault of an
+        out-of-process shard raises
+        :class:`~repro.parallel.supervisor.SupervisorError`.
+    fault_plan:
+        Test-only :class:`~repro.faults.FaultPlan` injecting faults at
+        exact ``(shard, attempt)`` coordinates; forces worker
+        processes, like ``policy``.
+    runner:
+        The calling :class:`~repro.sim.runner.ExperimentRunner`.
+        In-process shards run on it, observed by its sinks (all but
+        ``registry``, which receives the merged shard registries);
+        sinks other than ``registry`` cannot follow shards into worker
+        processes and are refused there.
 
     Returns a :class:`~repro.sim.runner.BatchStats` bit-identical to
     the serial equivalent: same ``runs`` list, same merged metrics
-    snapshot, same journal bytes.
+    snapshot, same journal bytes.  Quarantined shards (supervised
+    sweeps only) are omitted from ``runs`` and named in the report.
     """
     from repro.sim.runner import BatchStats
 
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    _check_picklable(spec)
-    _warm_imports()
+    in_process = workers == 1 and policy is None and fault_plan is None
+    extra_sinks: Tuple = ()
+    if runner is not None:
+        extra_sinks = tuple(s for s in runner.sinks if s is not registry)
+    if not in_process:
+        if extra_sinks:
+            names = ", ".join(type(s).__name__ for s in extra_sinks)
+            raise ValueError(
+                f"sinks cannot cross process boundaries in a parallel "
+                f"batch (attached: {names}); attach only a "
+                f"MetricsRegistry and pass journal_path= for journals, "
+                f"or run with workers=1")
+        _check_picklable(spec)
+        _warm_imports()
+    supervised = policy is not None
+    policy = policy or _UNSUPERVISED
+    report = FaultReport()
 
     shards = plan_shards(n_runs, workers, shard_size)
     with_metrics = registry is not None
+    engine = spec.resolved_engine
 
-    cached: dict = {}
-    run_spec = None
-    store_stats = None
-    if store is not None:
+    # -- spec hash / store preamble (healing resume) -------------------
+    run_spec = spec_hash = store_stats = None
+    if store is not None or (fault_plan is not None
+                             and fault_plan.spec_hash is not None):
         from repro.spec import ObsOptions, RunSpec
-        from repro.store import StoreStats
 
         run_spec = RunSpec.from_batch(
             spec, max_steps=max_steps,
             obs=ObsOptions(metrics=with_metrics,
                            journal=journal_path is not None))
         spec_hash = run_spec.spec_hash()
+    plan = fault_plan if (fault_plan is not None
+                          and fault_plan.applies_to(spec_hash)) else None
+
+    cached: Dict[int, Any] = {}
+    if store is not None:
+        from repro.store import StoreStats
+
         store_stats = StoreStats(spec_hash=spec_hash)
+        healed_before = len(store.healed)
         for k, (start, stop) in enumerate(shards):
-            # heal=True: a committed shard damaged at rest (failed
-            # disk, torn copy) is quarantined as *.corrupt and simply
-            # re-executed — a fact is always recomputable.
+            # heal=True: a committed shard damaged at rest is
+            # quarantined as *.corrupt and simply re-executed — a fact
+            # is always recomputable.
             payload = store.load_shard(spec_hash, spec.seed, start, stop,
                                        heal=True)
             if payload is not None:
@@ -366,91 +555,141 @@ def run_parallel(
             else:
                 store_stats.misses += 1
                 store_stats.runs_executed += stop - start
+        report.healed = store.healed[healed_before:]
+        for path in report.healed:
+            report.events.append(FaultEvent(
+                shard=-1, attempt=0, kind="healed", engine=engine,
+                action="healed",
+                detail=f"damaged shard file quarantined as "
+                       f"{path}.corrupt; recomputing"))
 
-    tasks = [
-        ShardTask(
-            spec=spec,
-            start=start,
-            stop=stop,
-            max_steps=max_steps,
-            with_metrics=with_metrics,
-            journal_path=(shard_journal_path(journal_path, k)
-                          if journal_path is not None else None),
-            shard_index=k,
-        )
-        for k, (start, stop) in enumerate(shards)
-        if k not in cached
-    ]
-
-    def _commit(task: ShardTask, result: ShardResult) -> None:
-        store.commit_shard(run_spec, spec.seed,
-                           _shard_payload(task, result))
-
+    completed: Dict[int, ShardResult] = {}
+    quarantined: Dict[int, Tuple[int, int]] = {}
     telemetry_fh = open(telemetry_path, "w") \
         if telemetry_path is not None else None
+    append = file_sink(telemetry_fh) if telemetry_fh is not None else None
+
+    def make_task(shard: int, task_engine: str) -> ShardTask:
+        start, stop = shards[shard]
+        task_spec = spec
+        if task_engine != engine:
+            # Degraded attempt: rebuild the spec on the lower rung.
+            # The shard still commits under the ORIGINAL run_spec —
+            # sound because the engines are verified bit-identical.
+            task_spec = dataclasses.replace(spec, engine=task_engine)
+        return ShardTask(
+            spec=task_spec, start=start, stop=stop, max_steps=max_steps,
+            with_metrics=with_metrics,
+            journal_path=(shard_journal_path(journal_path, shard)
+                          if journal_path is not None else None),
+            shard_index=shard, telemetry=append is not None)
+
+    def record(job: _Attempt, kind: str, action: str, detail: str) -> None:
+        report.events.append(FaultEvent(
+            shard=job.shard, attempt=job.attempt, kind=kind,
+            engine=job.engine, action=action, detail=detail))
+        if append is not None:
+            append({"kind": "fault", "shard": job.shard,
+                    "attempt": job.attempt, "fault": kind,
+                    "engine": job.engine, "action": action,
+                    "detail": detail})
+
+    def on_fault(job: _Attempt, kind: str,
+                 detail: str) -> Optional[_Attempt]:
+        start, stop = shards[job.shard]
+        if policy.on_fault == "fail":
+            record(job, kind, "fail", detail)
+            raise SupervisorError(
+                f"shard {job.shard} (runs [{start}, {stop})) attempt "
+                f"{job.attempt} on engine {job.engine!r} faulted: "
+                f"{kind}: {detail} [on_fault='fail'; supervise with "
+                f"on_fault retry/degrade/quarantine to continue past "
+                f"faults]")
+        if policy.on_fault not in ("retry", "degrade") \
+                or job.attempt >= policy.max_retries:
+            quarantined[job.shard] = (start, stop)
+            record(job, kind, "quarantine", detail)
+            return None
+        next_engine = (degraded_engine(job.engine)
+                       if policy.on_fault == "degrade" else job.engine)
+        delay = policy.backoff(job.attempt + 1)
+        record(job, kind,
+               "retry" if next_engine == job.engine
+               else f"retry@{next_engine}",
+               f"{detail}; backoff {delay:.3f}s")
+        return _Attempt(shard=job.shard, attempt=job.attempt + 1,
+                        engine=next_engine,
+                        not_before=time.monotonic() + delay)
+
+    def on_done(job: _Attempt,
+                result: ShardResult) -> Optional[_Attempt]:
+        if store is not None:
+            action = plan.store_action(job.shard, job.attempt) \
+                if plan else None
+            if action is not None and action.kind == "commit-fail":
+                # Work done, fact lost: the commit "fsync failed", so
+                # the result is discarded and the shard re-executes —
+                # the strictest reading of a failed durable write.
+                return on_fault(job, "commit-fail",
+                                "injected commit failure (fsync)")
+            path = store.commit_shard(
+                run_spec, spec.seed,
+                _shard_payload(make_task(job.shard, job.engine), result))
+            if action is not None and action.kind == "corrupt":
+                # At-rest damage after a successful commit: the sweep
+                # in flight is unaffected; the NEXT resume heals it.
+                corrupt_file(path, action.mode)
+                record(job, "corrupt", "damaged",
+                       f"injected {action.mode} damage to {path}")
+        completed[job.shard] = result
+        return None
+
+    jobs = [_Attempt(shard=k, attempt=0, engine=engine)
+            for k in range(len(shards)) if k not in cached]
     try:
-        if not tasks:
-            results: List[ShardResult] = []
-        elif len(tasks) == 1 or workers == 1:
-            # Nothing to parallelize; run in-process, same code path.
-            # With a store, each shard commits the moment it finishes
-            # (that is what makes a killed sweep resumable mid-batch).
-            if telemetry_fh is not None:
-                channel = _FileChannel(telemetry_fh)
-                tasks = [dataclasses.replace(t, telemetry_queue=channel)
-                         for t in tasks]
-            results = []
-            for t in tasks:
-                r = _execute_shard(t)
-                if store is not None:
-                    _commit(t, r)
-                results.append(r)
-        else:
-            ctx = multiprocessing.get_context(mp_context)
-            if telemetry_fh is None:
-                with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-                    results = pool.map(_execute_shard, tasks)
-            else:
-                # Heartbeats cross process boundaries over a manager
-                # queue; the parent streams them to the telemetry file
-                # while the pool works.
-                with ctx.Manager() as manager:
-                    beats = manager.Queue()
-                    tasks = [dataclasses.replace(t, telemetry_queue=beats)
-                             for t in tasks]
-                    with ctx.Pool(
-                            processes=min(workers, len(tasks))) as pool:
-                        pending = pool.map_async(_execute_shard, tasks)
-                        _drain_heartbeats(beats, telemetry_fh, pending)
-                        results = pending.get()
-            if store is not None:
-                for t, r in zip(tasks, results):
-                    _commit(t, r)
+        if in_process:
+            runner = runner if runner is not None else _spec_runner(spec)
+            for job in jobs:
+                on_done(job, _execute_shard(
+                    make_task(job.shard, engine), runner, extra_sinks,
+                    append))
+        elif jobs:
+            _run_on_workers(jobs, workers,
+                            multiprocessing.get_context(mp_context),
+                            policy, plan, make_task, on_done, on_fault,
+                            append)
     finally:
         if telemetry_fh is not None:
             telemetry_fh.close()
 
-    # Fold cached payloads back into the shard sequence, in shard
-    # order, so the merge below cannot tell a loaded shard from an
-    # executed one.
-    if cached:
-        executed = {r.start: r for r in results}
-        results = []
-        for k, (start, stop) in enumerate(shards):
-            payload = cached.get(k)
-            if payload is None:
-                results.append(executed[start])
-                continue
+    # -- deterministic merge, in shard order, minus quarantined shards -
+    results: List[ShardResult] = []
+    journal_parts: List[str] = []
+    for k, (start, stop) in enumerate(shards):
+        part = (shard_journal_path(journal_path, k)
+                if journal_path is not None else None)
+        if k in quarantined:
+            # Remove any partial journal litter the failed attempts
+            # left so a later sweep cannot trip over it.
+            for stray in ((part, part + ".tmp") if part else ()):
+                if os.path.exists(stray):
+                    os.remove(stray)
+            continue
+        payload = cached.get(k)
+        if payload is None:
+            results.append(completed[k])
+        else:
+            # A loaded shard is indistinguishable from an executed one:
+            # its journal segment is re-materialized for the stitch.
             results.append(ShardResult(
                 start=start, stop=stop, runs=payload.runs,
                 metrics=payload.metrics,
                 journal_events=payload.journal_events))
-            if journal_path is not None:
-                # Re-materialize the shard's journal segment so the
-                # stitch below is the one code path either way.
-                with open(shard_journal_path(journal_path, k),
-                          "wb") as fh:
+            if part is not None:
+                with open(part, "wb") as fh:
                     fh.write(payload.journal_bytes)
+        if part is not None:
+            journal_parts.append(part)
 
     runs = [r for shard in results for r in shard.runs]
     if with_metrics:
@@ -458,13 +697,12 @@ def run_parallel(
             registry.merge(shard.metrics)
 
     journal_events: Optional[int] = None
-    if journal_path is not None:
-        parts = [shard_journal_path(journal_path, k)
-                 for k in range(len(shards))]
-        journal_events = concatenate_journals(parts, journal_path)
-        for part in parts:
+    if journal_path is not None and (journal_parts or not quarantined):
+        journal_events = concatenate_journals(journal_parts, journal_path)
+        for part in journal_parts:
             os.remove(part)
 
+    report.quarantined = sorted(quarantined.values())
     return BatchStats(
         runs=runs,
         max_steps=max_steps,
@@ -472,4 +710,5 @@ def run_parallel(
         journal_path=journal_path,
         journal_events=journal_events,
         store=store_stats,
+        faults=report if supervised else None,
     )

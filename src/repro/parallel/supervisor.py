@@ -1,16 +1,18 @@
 """Fault-tolerant shard supervision for Monte-Carlo sweeps.
 
-:func:`run_parallel` (the plain engine) assumes every worker is
-well-behaved: one OOM-killed process, one hung scheduler, one corrupt
-shard file and the whole sweep dies.  This module is the engine's
-fault-tolerant sibling — the same sharding, the same merge, the same
-bit-identical results, but each shard runs in its *own* supervised
-child process with
+Every sweep runs on one executor, :func:`repro.parallel.engine.
+run_parallel`.  This module holds what makes a sweep *supervised* —
+the :class:`SupervisorPolicy`, the :class:`FaultReport` it returns and
+:func:`run_supervised`, the public name for "``run_parallel`` with a
+policy".  A supervised sweep has the same sharding, the same merge and
+the same bit-identical results as an unsupervised one, but its shards
+always run on watched worker processes (even at ``workers=1``) with
 
-* a **watchdog**: a shard that exceeds ``policy.shard_timeout`` is
-  killed and treated like any other fault;
-* **crash detection**: a child that dies without reporting (OOM kill,
-  ``os._exit``, segfault) is detected by pipe EOF + exitcode;
+* a **watchdog**: a shard that exceeds ``policy.shard_timeout`` has
+  its worker killed and replaced, and counts as a fault;
+* **crash detection**: a worker that dies without reporting (OOM kill,
+  ``os._exit``, segfault) is detected by pipe EOF + exitcode and
+  replaced; one that raises reports the exception and is retired;
 * **bounded retries** with deterministic, jitter-free exponential
   backoff (``min(cap, base · 2^(n-1))`` — replayable, unlike the
   usual randomized backoff);
@@ -24,6 +26,10 @@ child process with
   :class:`FaultReport` naming the exact unfinished index ranges
   instead of dying at 99%.
 
+Unsupervised sweeps whose shards leave the process run under
+``on_fault="fail"``: the first fault raises :class:`SupervisorError`
+naming the shard's run range and the cause.
+
 The determinism-under-faults contract (docs/ROBUSTNESS.md): every run
 is a pure function of ``(root_seed, run_index)``, so however many
 crashes, hangs, retries, degradations, or healed shard files a sweep
@@ -35,7 +41,7 @@ non-deterministic by design) as ``{"kind": "fault", ...}`` records,
 and the aggregate :class:`FaultReport` rides on ``BatchStats.faults``.
 
 Fault injection for tests comes from :mod:`repro.faults` — pass a
-:class:`~repro.faults.FaultPlan` and the supervisor injects worker
+:class:`~repro.faults.FaultPlan` and the executor injects worker
 crashes, raised exceptions, hangs, slow shards, failed commits, and
 at-rest corruption at exact ``(shard, attempt)`` coordinates,
 replayably.
@@ -44,37 +50,25 @@ replayably.
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import queue as queue_module
-import time
-import traceback
 from typing import Any, Dict, List, Optional, Tuple
-
-from repro.faults import FaultAction, FaultPlan, corrupt_file, \
-    trigger_worker_fault
-from repro.obs.journal import concatenate_journals
-from repro.obs.metrics import MetricsRegistry
-from repro.parallel.engine import (BatchSpec, ShardResult, ShardTask,
-                                   _check_picklable, _execute_shard,
-                                   _shard_payload, _warm_imports,
-                                   plan_shards,
-                                   shard_journal_path)
 
 #: Engine step-down order for ``on_fault="degrade"``: a shard faulting
 #: on one rung retries on the next.  All rungs are differentially
-#: verified bit-identical (tests/test_engines.py, docs/IR.md §5), so
-#: degradation trades speed for robustness, never results.
+#: verified bit-identical (tests/test_kernel_fastpath.py,
+#: tests/test_ir_lowering.py, docs/IR.md §5), so degradation trades
+#: speed for robustness, never results.
 DEGRADE_LADDER = ("vector", "fast", "reference")
 
 #: Recognized ``on_fault`` policies.
 ON_FAULT_MODES = ("retry", "degrade", "quarantine", "fail")
 
-_POLL_S = 0.01
-
 
 class SupervisorError(RuntimeError):
-    """A supervised sweep aborted under ``on_fault="fail"``."""
+    """A sweep aborted on a shard fault under ``on_fault="fail"``.
+
+    Raised by supervised sweeps with that policy and by every
+    unsupervised sweep whose shards run on worker processes.
+    """
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,8 +77,8 @@ class SupervisorPolicy:
 
     ``shard_timeout``
         Watchdog in seconds per shard *attempt*; ``None`` disables it
-        (a hung shard then hangs the sweep, exactly like the plain
-        engine).
+        (a hung shard then hangs the sweep, exactly like an
+        unsupervised one).
     ``max_retries``
         Retries per shard after its first failure; attempt numbering
         is 0-based, so a shard executes at most ``max_retries + 1``
@@ -94,8 +88,7 @@ class SupervisorPolicy:
         after ``max_retries``; ``degrade`` — like retry but each retry
         steps down :data:`DEGRADE_LADDER`; ``quarantine`` — give up on
         the first fault; ``fail`` — raise :class:`SupervisorError` on
-        the first fault (the plain engine's behavior, with a better
-        diagnosis).
+        the first fault (what unsupervised sweeps do).
     ``backoff_base`` / ``backoff_cap``
         Deterministic exponential backoff before retry ``n``:
         ``min(cap, base · 2^(n-1))`` seconds.  Jitter-free on purpose —
@@ -218,33 +211,7 @@ class FaultReport:
         }
 
 
-def _supervised_shard(task: ShardTask, fault: Optional[FaultAction],
-                      conn) -> None:
-    """Child-process entry point: run one shard, report over the pipe.
-
-    Module-level so it pickles under ``spawn``.  Sends ``("ok",
-    ShardResult)`` on success or ``("error", summary, traceback)`` on
-    an exception; an injected (or real) crash sends nothing — the
-    parent sees pipe EOF plus a nonzero exitcode.  The injected fault,
-    if any, triggers *before* the shard does any work, so a crash or
-    hang never leaves a half-observed shard behind.
-    """
-    try:
-        if fault is not None:
-            trigger_worker_fault(fault)
-        result = _execute_shard(task)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - forwarded, not hidden
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}",
-                       traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _degraded_engine(engine: str) -> str:
+def degraded_engine(engine: str) -> str:
     """The next rung down :data:`DEGRADE_LADDER` (floor: last rung)."""
     if engine not in DEGRADE_LADDER:
         return DEGRADE_LADDER[-1]
@@ -252,376 +219,25 @@ def _degraded_engine(engine: str) -> str:
     return DEGRADE_LADDER[min(idx + 1, len(DEGRADE_LADDER) - 1)]
 
 
-@dataclasses.dataclass
-class _Pending:
-    """A shard attempt waiting to launch (after ``not_before``)."""
-
-    shard: int
-    attempt: int
-    engine: str
-    not_before: float
-
-
-@dataclasses.dataclass
-class _Slot:
-    """A shard attempt currently running in a child process."""
-
-    shard: int
-    attempt: int
-    engine: str
-    proc: Any
-    conn: Any
-    deadline: Optional[float]
-
-
-def run_supervised(
-    spec: BatchSpec,
-    n_runs: int,
-    max_steps: int,
-    workers: int,
-    shard_size: Optional[int] = None,
-    journal_path: Optional[str] = None,
-    telemetry_path: Optional[str] = None,
-    registry: Optional[MetricsRegistry] = None,
-    mp_context: str = "spawn",
-    store=None,
-    policy: Optional[SupervisorPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-):
+def run_supervised(spec, n_runs: int, max_steps: int, workers: int,
+                   policy: Optional[SupervisorPolicy] = None, **options):
     """Execute a sharded batch under shard-level supervision.
 
-    Drop-in for :func:`repro.parallel.engine.run_parallel` — same
-    parameters, same deterministic merge, same bit-identical result —
-    plus ``policy`` (see :class:`SupervisorPolicy`) and ``fault_plan``
-    (test-only injection, :mod:`repro.faults`).  The returned
-    ``BatchStats`` additionally carries a :class:`FaultReport` on
-    ``.faults``; when shards were quarantined, ``stats.runs`` simply
-    omits their index ranges and the report names them.
+    :func:`repro.parallel.engine.run_parallel` with ``policy``
+    defaulting to ``SupervisorPolicy()``; ``options`` are its other
+    parameters (``shard_size``, ``journal_path``, ``store``,
+    ``fault_plan`` — test-only injection, :mod:`repro.faults` — and so
+    on).  The returned ``BatchStats`` carries a :class:`FaultReport`
+    on ``.faults``; when shards were quarantined, ``stats.runs``
+    simply omits their index ranges and the report names them.
 
-    Unlike the plain engine, *every* shard runs in its own child
-    process even at ``workers=1`` — crash isolation needs the process
-    boundary.  With a ``store``, each shard commits the moment it
-    finishes, and damaged committed shards found on resume are healed
-    (renamed ``*.corrupt``) and recomputed instead of raising.
+    Shards always run on worker processes, even at ``workers=1`` —
+    crash isolation needs the process boundary.  With a ``store``,
+    each shard commits the moment it finishes, and damaged committed
+    shards found on resume are healed (renamed ``*.corrupt``) and
+    recomputed instead of raising.
     """
-    import multiprocessing
+    from repro.parallel.engine import run_parallel
 
-    from repro.sim.runner import BatchStats
-
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    policy = policy or SupervisorPolicy()
-    _check_picklable(spec)
-    # Pre-import the simulation stack: per-shard children are forked
-    # fresh for every attempt, so without a warm parent each one would
-    # pay the factories' lazy first-call imports (~100ms/shard).
-    _warm_imports()
-
-    shards = plan_shards(n_runs, workers, shard_size)
-    with_metrics = registry is not None
-    report = FaultReport()
-
-    # -- spec hash / store preamble (healing resume) -------------------
-    run_spec = None
-    spec_hash = None
-    store_stats = None
-    need_hash = store is not None or (
-        fault_plan is not None and fault_plan.spec_hash is not None)
-    if need_hash:
-        from repro.spec import ObsOptions, RunSpec
-
-        run_spec = RunSpec.from_batch(
-            spec, max_steps=max_steps,
-            obs=ObsOptions(metrics=with_metrics,
-                           journal=journal_path is not None))
-        spec_hash = run_spec.spec_hash()
-
-    plan = fault_plan if (fault_plan is not None
-                          and fault_plan.applies_to(spec_hash)) else None
-
-    cached: Dict[int, Any] = {}
-    if store is not None:
-        from repro.store import StoreStats
-
-        store_stats = StoreStats(spec_hash=spec_hash)
-        healed_before = len(store.healed)
-        for k, (start, stop) in enumerate(shards):
-            payload = store.load_shard(spec_hash, spec.seed, start, stop,
-                                       heal=True)
-            if payload is not None:
-                cached[k] = payload
-                store_stats.hits += 1
-                store_stats.runs_from_cache += stop - start
-            else:
-                store_stats.misses += 1
-                store_stats.runs_executed += stop - start
-        for path in store.healed[healed_before:]:
-            report.healed.append(path)
-            report.events.append(FaultEvent(
-                shard=-1, attempt=0, kind="healed",
-                engine=spec.resolved_engine, action="healed",
-                detail=f"damaged shard file quarantined as "
-                       f"{path}.corrupt; recomputing"))
-
-    ctx = multiprocessing.get_context(mp_context)
-    telemetry_fh = open(telemetry_path, "w") \
-        if telemetry_path is not None else None
-    manager = None
-    beats = None
-    if telemetry_fh is not None:
-        # Heartbeats ride a manager queue (like the plain engine): the
-        # proxy's put is an RPC into the manager process, so a child
-        # killed mid-beat drops a connection, never corrupts shared
-        # state.  Fault records are appended by the parent itself.
-        manager = ctx.Manager()
-        beats = manager.Queue()
-
-    def _telemetry_append(d: Dict[str, Any]) -> None:
-        if telemetry_fh is not None:
-            telemetry_fh.write(json.dumps(d, sort_keys=True) + "\n")
-            telemetry_fh.flush()
-
-    def _drain_beats() -> None:
-        if beats is None:
-            return
-        while True:
-            try:
-                _telemetry_append(beats.get_nowait())
-            except queue_module.Empty:
-                return
-            except Exception:
-                return  # queue torn down mid-drain; telemetry best-effort
-
-    def _record_fault(shard: int, attempt: int, kind: str, engine: str,
-                      action: str, detail: str) -> None:
-        report.events.append(FaultEvent(
-            shard=shard, attempt=attempt, kind=kind, engine=engine,
-            action=action, detail=detail))
-        _telemetry_append({"kind": "fault", "shard": shard,
-                           "attempt": attempt, "fault": kind,
-                           "engine": engine, "action": action,
-                           "detail": detail})
-
-    def _make_task(shard: int, engine: str) -> ShardTask:
-        start, stop = shards[shard]
-        task_spec = spec
-        if engine != spec.resolved_engine:
-            # Degraded attempt: rebuild the spec on the lower rung.
-            # The shard still commits under the ORIGINAL run_spec —
-            # sound because the engines are verified bit-identical.
-            task_spec = dataclasses.replace(spec, engine=engine,
-                                            fast=None)
-        return ShardTask(
-            spec=task_spec, start=start, stop=stop, max_steps=max_steps,
-            with_metrics=with_metrics,
-            journal_path=(shard_journal_path(journal_path, shard)
-                          if journal_path is not None else None),
-            shard_index=shard, telemetry_queue=beats)
-
-    def _launch(p: _Pending) -> _Slot:
-        task = _make_task(p.shard, p.engine)
-        fault = plan.worker_action(p.shard, p.attempt) if plan else None
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_supervised_shard,
-                           args=(task, fault, child_conn), daemon=True)
-        proc.start()
-        child_conn.close()
-        now = time.monotonic()
-        deadline = (now + policy.shard_timeout
-                    if policy.shard_timeout is not None else None)
-        return _Slot(shard=p.shard, attempt=p.attempt, engine=p.engine,
-                     proc=proc, conn=parent_conn, deadline=deadline)
-
-    pending: List[_Pending] = [
-        _Pending(shard=k, attempt=0, engine=spec.resolved_engine,
-                 not_before=0.0)
-        for k in range(len(shards)) if k not in cached
-    ]
-    running: List[_Slot] = []
-    completed: Dict[int, ShardResult] = {}
-    quarantined: Dict[int, Tuple[int, int]] = {}
-
-    def _handle_fault(slot_shard: int, attempt: int, engine: str,
-                      kind: str, detail: str) -> None:
-        if policy.on_fault == "fail":
-            _record_fault(slot_shard, attempt, kind, engine, "fail",
-                          detail)
-            raise SupervisorError(
-                f"shard {slot_shard} (runs "
-                f"[{shards[slot_shard][0]}, {shards[slot_shard][1]})) "
-                f"attempt {attempt} on engine {engine!r} faulted: "
-                f"{kind}: {detail} [on_fault='fail'; use retry/"
-                f"degrade/quarantine to continue past faults]")
-        retryable = policy.on_fault in ("retry", "degrade")
-        if not retryable or attempt >= policy.max_retries:
-            quarantined[slot_shard] = shards[slot_shard]
-            _record_fault(slot_shard, attempt, kind, engine,
-                          "quarantine", detail)
-            return
-        next_engine = (_degraded_engine(engine)
-                       if policy.on_fault == "degrade" else engine)
-        delay = policy.backoff(attempt + 1)
-        pending.append(_Pending(
-            shard=slot_shard, attempt=attempt + 1, engine=next_engine,
-            not_before=time.monotonic() + delay))
-        action = ("retry" if next_engine == engine
-                  else f"retry@{next_engine}")
-        _record_fault(slot_shard, attempt, kind, engine, action,
-                      f"{detail}; backoff {delay:.3f}s")
-
-    def _handle_success(slot: _Slot, result: ShardResult) -> None:
-        action = plan.store_action(slot.shard, slot.attempt) \
-            if plan else None
-        if store is not None:
-            task = _make_task(slot.shard, slot.engine)
-            if action is not None and action.kind == "commit-fail":
-                # Work done, fact lost: the commit "fsync failed", so
-                # the result is discarded and the shard re-executes —
-                # the strictest reading of a failed durable write.
-                _handle_fault(slot.shard, slot.attempt, slot.engine,
-                              "commit-fail",
-                              "injected commit failure (fsync)")
-                return
-            path = store.commit_shard(run_spec, spec.seed,
-                                      _shard_payload(task, result))
-            if action is not None and action.kind == "corrupt":
-                # At-rest damage after a successful commit: the sweep
-                # in flight is unaffected; the NEXT resume detects and
-                # heals it.
-                corrupt_file(path, action.mode)
-                _record_fault(slot.shard, slot.attempt, "corrupt",
-                              slot.engine, "damaged",
-                              f"injected {action.mode} damage to "
-                              f"{path}")
-        completed[slot.shard] = result
-
-    def _reap(slot: _Slot) -> bool:
-        """Check one running slot; True when it left the running set."""
-        if slot.conn.poll(0):
-            # Either a report or EOF (``poll`` answers True for both,
-            # and EOF stays True forever — only ``recv`` can tell).
-            try:
-                msg = slot.conn.recv()
-            except EOFError:
-                msg = None
-            slot.proc.join()
-            slot.conn.close()
-            if msg is None:
-                # EOF without a report: the child died before sending
-                # (os._exit, OOM kill, segfault).
-                _handle_fault(slot.shard, slot.attempt, slot.engine,
-                              "crash",
-                              f"worker exited with code "
-                              f"{slot.proc.exitcode} before reporting")
-            elif msg[0] == "ok":
-                _handle_success(slot, msg[1])
-            else:
-                _handle_fault(slot.shard, slot.attempt, slot.engine,
-                              "exception", msg[1])
-            return True
-        now = time.monotonic()
-        if slot.deadline is not None and now > slot.deadline \
-                and slot.proc.is_alive():
-            slot.proc.kill()
-            slot.proc.join()
-            slot.conn.close()
-            _handle_fault(slot.shard, slot.attempt, slot.engine,
-                          "timeout",
-                          f"exceeded shard_timeout="
-                          f"{policy.shard_timeout}s; killed")
-            return True
-        if not slot.proc.is_alive():
-            # Process gone but no pipe data yet: give the report (or
-            # the EOF) a beat to surface, then take it next pass.
-            if slot.conn.poll(0.1):
-                return False
-            slot.proc.join()
-            slot.conn.close()
-            _handle_fault(slot.shard, slot.attempt, slot.engine,
-                          "crash",
-                          f"worker exited with code "
-                          f"{slot.proc.exitcode} and its pipe went "
-                          f"silent")
-            return True
-        return False
-
-    try:
-        while pending or running:
-            now = time.monotonic()
-            i = 0
-            while len(running) < workers and i < len(pending):
-                if pending[i].not_before <= now:
-                    running.append(_launch(pending.pop(i)))
-                else:
-                    i += 1
-            _drain_beats()
-            progressed = False
-            for slot in list(running):
-                if _reap(slot):
-                    running.remove(slot)
-                    progressed = True
-            if not progressed and (running or pending):
-                time.sleep(_POLL_S)
-        _drain_beats()
-    finally:
-        for slot in running:
-            if slot.proc.is_alive():
-                slot.proc.kill()
-            slot.proc.join()
-            slot.conn.close()
-        if manager is not None:
-            manager.shutdown()
-        if telemetry_fh is not None:
-            telemetry_fh.close()
-
-    report.quarantined = sorted(quarantined.values())
-
-    # -- deterministic merge (identical to the plain engine, minus the
-    # quarantined shards) ----------------------------------------------
-    results: List[ShardResult] = []
-    journal_parts: List[str] = []
-    for k, (start, stop) in enumerate(shards):
-        if k in quarantined:
-            # Remove any partial journal litter the failed attempts
-            # left so a later sweep cannot trip over it.
-            if journal_path is not None:
-                part = shard_journal_path(journal_path, k)
-                for stray in (part, part + ".tmp"):
-                    if os.path.exists(stray):
-                        os.remove(stray)
-            continue
-        payload = cached.get(k)
-        if payload is not None:
-            results.append(ShardResult(
-                start=start, stop=stop, runs=payload.runs,
-                metrics=payload.metrics,
-                journal_events=payload.journal_events))
-            if journal_path is not None:
-                with open(shard_journal_path(journal_path, k),
-                          "wb") as fh:
-                    fh.write(payload.journal_bytes)
-        else:
-            results.append(completed[k])
-        if journal_path is not None:
-            journal_parts.append(shard_journal_path(journal_path, k))
-
-    runs = [r for shard in results for r in shard.runs]
-    if with_metrics:
-        for shard in results:
-            registry.merge(shard.metrics)
-
-    journal_events: Optional[int] = None
-    if journal_path is not None and journal_parts:
-        journal_events = concatenate_journals(journal_parts, journal_path)
-        for part in journal_parts:
-            os.remove(part)
-
-    return BatchStats(
-        runs=runs,
-        max_steps=max_steps,
-        metrics=registry,
-        journal_path=journal_path,
-        journal_events=journal_events,
-        store=store_stats,
-        faults=report,
-    )
+    return run_parallel(spec, n_runs, max_steps, workers,
+                        policy=policy or SupervisorPolicy(), **options)

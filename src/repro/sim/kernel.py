@@ -296,9 +296,6 @@ class Simulation:
         against (see docs/PERFORMANCE.md).  The ``"vector"`` backend
         steps whole batches and cannot back a standalone simulation;
         use :func:`repro.core.consensus.solve` or the runner for it.
-    fast:
-        Deprecated boolean alias for ``engine`` (``True`` → ``"fast"``,
-        ``False`` → ``"reference"``); passing it warns.
     cache:
         A :class:`~repro.sim.transitions.TransitionCache` to reuse
         (fast path only).  Sharing one across runs of equivalent
@@ -331,12 +328,11 @@ class Simulation:
         record_trace: bool = False,
         strict: bool = True,
         sinks: Optional[Sequence[BaseSink]] = None,
-        fast: Optional[bool] = None,
         cache: Optional[TransitionCache] = None,
         memory: Union[None, str, MemorySpec] = None,
         engine: Optional[str] = None,
     ) -> None:
-        info = resolve_sim_engine(engine, fast, caller="Simulation")
+        info = resolve_sim_engine(engine)
         if not info.standalone:
             raise SimulationError(
                 f"engine {info.name!r} steps lockstep batches and cannot "

@@ -107,10 +107,11 @@ class BatchStats:
     isolation — or use a fresh runner (and registry) per batch, which
     is what the CLI and benchmarks do.
 
-    **Merge semantics (sharded batches).** When ``run_many`` executes
-    with ``workers > 1``, each worker process observes its contiguous
-    shard of run indices with a private registry, and the shards are
-    folded into the runner's registry in shard order via
+    **Merge semantics.** ``run_many`` executes a batch as contiguous
+    shards of run indices (one shard by default at ``workers=1``),
+    each observed with a private registry — in this process or in a
+    worker process — and the shards are folded into the runner's
+    registry in shard order via
     :meth:`MetricsRegistry.merge`: counters add, histograms union
     their exact counts, and gauges union min/max while the *value*
     field is last-writer-wins in shard order — the same final value a
@@ -251,7 +252,6 @@ class ExperimentRunner:
         seed: int,
         strict: bool = False,
         sinks: Sequence[BaseSink] = (),
-        fast: Optional[bool] = None,
         memory=None,
         engine: Optional[str] = None,
     ) -> None:
@@ -262,14 +262,13 @@ class ExperimentRunner:
         self._strict = strict
         self._sinks = tuple(sinks)
         # ``engine`` names the execution backend, resolved and
-        # validated through the registry (repro.engines); ``fast`` is
-        # the deprecated boolean alias.  "vector" steps compiled
-        # integer tables in lockstep mega-batches (repro.ir) and is
-        # bit-identical to the interpreted kernels for the supported
-        # protocol × scheduler × memory matrix (docs/IR.md §5); it
-        # raises IRUnsupportedError at first use otherwise.
-        self._engine = resolve_sim_engine(
-            engine, fast, caller="ExperimentRunner").name
+        # validated through the registry (repro.engines).  "vector"
+        # steps compiled integer tables in lockstep mega-batches
+        # (repro.ir) and is bit-identical to the interpreted kernels
+        # for the supported protocol × scheduler × memory matrix
+        # (docs/IR.md §5); it raises IRUnsupportedError at first use
+        # otherwise.
+        self._engine = resolve_sim_engine(engine).name
         self._fast = self._engine == "fast"
         # Register semantics for every run of the batch (a picklable
         # MemorySpec, so parallel shards inherit it unchanged).
@@ -287,6 +286,11 @@ class ExperimentRunner:
     def engine(self) -> str:
         """The execution backend: ``fast``, ``reference``, or ``vector``."""
         return self._engine
+
+    @property
+    def sinks(self) -> tuple:
+        """Every attached sink, in attachment order."""
+        return self._sinks
 
     @property
     def metrics(self) -> Optional[MetricsRegistry]:
@@ -454,22 +458,27 @@ class ExperimentRunner:
     ) -> BatchStats:
         """Execute ``n_runs`` independent runs and aggregate.
 
-        The runner's sinks are shared across all runs, so an attached
-        :class:`~repro.obs.metrics.MetricsRegistry` accumulates the
-        whole batch; it is handed to the returned :class:`BatchStats`
-        as ``metrics``.
+        The batch goes through the one shard executor,
+        :func:`repro.parallel.engine.run_parallel`.  At ``workers=1``
+        with no supervision its shards run in this process, on this
+        runner and its sinks; an attached
+        :class:`~repro.obs.metrics.MetricsRegistry` receives every
+        shard's registry (merged in shard order) and is handed to the
+        returned :class:`BatchStats` as ``metrics``.
 
-        ``workers > 1`` shards the run index range across that many
-        worker processes (see :mod:`repro.parallel`).  Because each
-        run's randomness is keyed only by the root seed and its index,
-        the result — run stats, merged metrics snapshot, and journal
-        bytes — is bit-identical to ``workers=1`` with the same seed,
-        at any worker count and ``shard_size``.  Parallel batches
+        ``workers > 1`` runs the shards on that many long-lived worker
+        processes (see :mod:`repro.parallel`).  Because each run's
+        randomness is keyed only by the root seed and its index, the
+        result — run stats, merged metrics snapshot, and journal bytes
+        — is bit-identical to ``workers=1`` with the same seed, at any
+        worker count and ``shard_size``.  Out-of-process shards
         require picklable factories (module-level functions or the
         specs in :mod:`repro.parallel.tasks`), and the only sink kind
         that may be attached is a :class:`MetricsRegistry` (shards
         merge into it); stream a journal with ``journal_path=``
-        instead of attaching a :class:`JsonlJournal` sink.
+        instead of attaching a :class:`JsonlJournal` sink.  A shard
+        that faults there aborts the batch with
+        :class:`~repro.parallel.supervisor.SupervisorError`.
 
         ``journal_path`` streams a batch-spanning JSONL journal to that
         path in either mode; the finished path and its event count are
@@ -483,95 +492,40 @@ class ExperimentRunner:
         ``store`` attaches a :class:`~repro.store.RunStore`: shards
         already committed under this batch's content address are
         loaded instead of executed, freshly executed shards are
-        committed as they finish, and the returned stats carry a
-        ``store`` accounting.  Store-backed batches always take the
-        sharded engine (even at ``workers=1``, so interruption
-        granularity is the shard) and inherit its restrictions:
-        picklable spec-class factories and MetricsRegistry-only sinks.
+        committed as they finish (so interruption granularity is the
+        shard), and the returned stats carry a ``store`` accounting.
+        Store-backed batches need spec-class factories (the store keys
+        on their canonical form).
 
         ``supervise=True`` (or passing ``policy`` / ``fault_plan``)
-        routes the batch through the fault-tolerant supervisor
-        (:mod:`repro.parallel.supervisor`): each shard runs in its own
-        watched child process with bounded deterministic retries,
-        optional engine degradation, and quarantine instead of sweep
-        death.  Results stay bit-identical to the unsupervised batch;
-        the returned stats gain a ``faults``
-        :class:`~repro.parallel.supervisor.FaultReport`.  Supervised
-        batches carry the same restrictions as parallel ones (they
-        always cross a process boundary, even at ``workers=1``).
+        makes the batch supervised
+        (:func:`repro.parallel.supervisor.run_supervised`): shards run
+        on watched worker processes even at ``workers=1``, with
+        bounded deterministic retries, optional engine degradation,
+        and quarantine instead of sweep death.  Results stay
+        bit-identical to the unsupervised batch; the returned stats
+        gain a ``faults``
+        :class:`~repro.parallel.supervisor.FaultReport`.
         """
-        supervise = supervise or policy is not None \
-            or fault_plan is not None
-        if workers > 1 or store is not None or supervise:
-            from repro.parallel.engine import BatchSpec, run_parallel
+        from repro.parallel.engine import BatchSpec, run_parallel
 
-            unsupported = [s for s in self._sinks
-                           if not isinstance(s, MetricsRegistry)]
-            if unsupported:
-                names = ", ".join(type(s).__name__ for s in unsupported)
-                raise ValueError(
-                    f"sinks cannot cross process boundaries in a "
-                    f"parallel batch (attached: {names}); attach only a "
-                    f"MetricsRegistry and pass journal_path= for "
-                    f"journals, or run with workers=1"
-                )
-            spec = BatchSpec(
-                protocol_factory=self._protocol_factory,
-                scheduler_factory=self._scheduler_factory,
-                inputs_factory=self._inputs_factory,
-                seed=self._seed,
-                strict=self._strict,
-                memory=self._memory,
-                engine=self._engine,
-            )
-            if supervise:
-                from repro.parallel.supervisor import run_supervised
-
-                return run_supervised(
-                    spec, n_runs, max_steps,
-                    workers=workers, shard_size=shard_size,
-                    journal_path=journal_path,
-                    telemetry_path=telemetry_path,
-                    registry=self.metrics, mp_context=mp_context,
-                    store=store, policy=policy, fault_plan=fault_plan,
-                )
-            return run_parallel(
-                spec, n_runs, max_steps,
-                workers=workers, shard_size=shard_size,
-                journal_path=journal_path, telemetry_path=telemetry_path,
-                registry=self.metrics, mp_context=mp_context,
-                store=store,
-            )
-
-        journal = None
-        sinks = None
-        if journal_path is not None:
-            from repro.obs.journal import JsonlJournal
-
-            journal = JsonlJournal(journal_path, memory=self._memory.name)
-            sinks = self._sinks + (journal,)
-        telemetry_fh = None
-        emitter = None
-        if telemetry_path is not None:
-            from repro.obs.telemetry import TelemetryEmitter, file_sink
-
-            telemetry_fh = open(telemetry_path, "w")
-            emitter = TelemetryEmitter(0, n_runs, file_sink(telemetry_fh))
-        try:
-            runs = self.run_range(0, n_runs, max_steps, sinks=sinks,
-                                  emitter=emitter)
-            if emitter is not None:
-                emitter.finish()
-        finally:
-            if journal is not None:
-                journal.close()
-            if telemetry_fh is not None:
-                telemetry_fh.close()
-        return BatchStats(
-            runs=runs,
-            max_steps=max_steps,
-            metrics=self.metrics,
-            journal_path=journal_path,
-            journal_events=(journal.events_written
-                            if journal is not None else None),
+        spec = BatchSpec(
+            protocol_factory=self._protocol_factory,
+            scheduler_factory=self._scheduler_factory,
+            inputs_factory=self._inputs_factory,
+            seed=self._seed,
+            strict=self._strict,
+            memory=self._memory,
+            engine=self._engine,
         )
+        options = dict(
+            workers=workers, shard_size=shard_size,
+            journal_path=journal_path, telemetry_path=telemetry_path,
+            registry=self.metrics, mp_context=mp_context, store=store,
+            fault_plan=fault_plan, runner=self)
+        if supervise or policy is not None or fault_plan is not None:
+            from repro.parallel.supervisor import run_supervised
+
+            return run_supervised(spec, n_runs, max_steps, policy=policy,
+                                  **options)
+        return run_parallel(spec, n_runs, max_steps, **options)

@@ -175,6 +175,29 @@ class TestReport:
 
         assert replay_journal(path).counters["runs"].value == 10
 
+    def test_report_store_hosts_timing(self, tmp_path, capsys):
+        # In-process shards run on the caller's runner and sinks, so a
+        # store-backed sweep can carry --timing; the stored sweep's
+        # metrics match the plain command's.
+        import json
+
+        plain, stored = str(tmp_path / "plain.json"), \
+            str(tmp_path / "stored.json")
+        assert main(["report", "--runs", "40", "--timing",
+                     "--json", plain]) == 0
+        capsys.readouterr()
+        assert main(["report", "--runs", "40", "--timing",
+                     "--store", str(tmp_path / "runs.store"),
+                     "--json", stored]) == 0
+        out = capsys.readouterr().out
+        assert "phase timing:" in out
+        assert "store:" in out
+        with open(plain) as fh:
+            plain_metrics = json.load(fh)["records"][0]["metrics"]
+        with open(stored) as fh:
+            stored_metrics = json.load(fh)["records"][0]["metrics"]
+        assert stored_metrics == plain_metrics
+
     def test_report_timing_rejected_with_workers(self):
         with pytest.raises(SystemExit, match="workers 1"):
             main(["report", "--runs", "5", "--workers", "2", "--timing"])

@@ -101,17 +101,36 @@ class TestTheOneValidationError:
 
 
 class TestDeprecatedFastAlias:
-    def test_fast_true_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning, match="fast=.*deprecated"):
-            assert resolve_sim_engine(None, True).name == "fast"
+    """The deprecated ``fast=`` alias is gone: every call site that
+    once warned now rejects the keyword outright."""
 
-    def test_fast_false_warns_and_resolves(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_sim_engine(None, False).name == "reference"
+    def test_fast_keyword_is_a_type_error(self):
+        from repro.core.consensus import solve
+        from repro.core.two_process import TwoProcessProtocol
+        from repro.parallel.engine import BatchSpec
+        from repro.parallel.tasks import (ConstantInputs, ProtocolSpec,
+                                          SchedulerSpec)
+        from repro.sched.simple import RoundRobinScheduler
+        from repro.sim.kernel import Simulation
+        from repro.sim.rng import ReplayableRng
+        from repro.sim.runner import ExperimentRunner
 
-    def test_engine_wins_over_fast(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_sim_engine("vector", True).name == "vector"
+        factories = dict(protocol_factory=ProtocolSpec("two", 2),
+                         scheduler_factory=SchedulerSpec("random"),
+                         inputs_factory=ConstantInputs(("a", "b")),
+                         seed=0)
+        calls = (
+            lambda: resolve_sim_engine(None, fast=True),
+            lambda: Simulation(TwoProcessProtocol(), ("a", "b"),
+                               RoundRobinScheduler(), ReplayableRng(0),
+                               fast=False),
+            lambda: solve(TwoProcessProtocol(), ("a", "b"), fast=True),
+            lambda: ExperimentRunner(**factories, fast=True),
+            lambda: BatchSpec(**factories, fast=False),
+        )
+        for call in calls:
+            with pytest.raises(TypeError, match="fast"):
+                call()
 
     def test_no_alias_no_warning(self):
         import warnings
@@ -135,18 +154,6 @@ class TestCallSitesRouteThroughRegistry:
             Simulation(TwoProcessProtocol(), ("a", "b"),
                        RoundRobinScheduler(), ReplayableRng(0),
                        engine="fsat")
-
-    def test_simulation_fast_alias_warns(self):
-        from repro.core.two_process import TwoProcessProtocol
-        from repro.sched.simple import RoundRobinScheduler
-        from repro.sim.kernel import Simulation
-        from repro.sim.rng import ReplayableRng
-
-        with pytest.warns(DeprecationWarning, match="Simulation"):
-            sim = Simulation(TwoProcessProtocol(), ("a", "b"),
-                             RoundRobinScheduler(), ReplayableRng(0),
-                             fast=False)
-        assert not sim._fast
 
     def test_runner(self):
         from repro.parallel.tasks import (ConstantInputs, ProtocolSpec,

@@ -1,17 +1,21 @@
-"""Tests for the process-pool batch engine (`repro.parallel`).
+"""Tests for the shard executor (`repro.parallel`).
 
-The engine's contract is exact: a sharded batch must be *bit-identical*
-to the serial batch with the same root seed — same `RunStats` list,
-same merged metrics snapshot, same journal bytes — at any worker count
-and shard size.  These tests pay for a handful of real `spawn` pools
-(the portable start method) and assert that equality end to end, plus
-the planner's partition properties and the descriptive failure modes.
+The executor's contract is exact: a sharded batch must be
+*bit-identical* to the serial batch with the same root seed — same
+`RunStats` list, same merged metrics snapshot, same journal bytes — at
+any worker count and shard size.  These tests pay for a handful of real
+`spawn` workers (the portable start method) and assert that equality
+end to end, plus worker reuse, the planner's partition properties and
+the descriptive failure modes.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
+from repro.faults import FaultAction, FaultPlan
 from repro.obs import JsonlJournal, MetricsRegistry
 from repro.obs.journal import concatenate_journals
 from repro.parallel import (
@@ -19,6 +23,8 @@ from repro.parallel import (
     ConstantInputs,
     ProtocolSpec,
     SchedulerSpec,
+    SupervisorError,
+    SupervisorPolicy,
     plan_shards,
     run_parallel,
 )
@@ -46,6 +52,12 @@ def make_ab_inputs(run_index, rng):
     return ("a", "b")
 
 
+def inputs_raising_at_run_13(run_index, rng):
+    if run_index == 13:
+        raise KeyError("no inputs for run 13")
+    return ("a", "b")
+
+
 def make_runner(registry=None, seed=SEED):
     sinks = (registry,) if registry is not None else ()
     return ExperimentRunner(
@@ -55,6 +67,21 @@ def make_runner(registry=None, seed=SEED):
         seed=seed,
         sinks=sinks,
     )
+
+
+@pytest.fixture
+def worker_starts(monkeypatch):
+    """Every process the ``spawn`` context starts, in start order."""
+    process = multiprocessing.get_context("spawn").Process
+    started = []
+    original = process.start
+
+    def start(self):
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(process, "start", start)
+    return started
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +151,16 @@ class TestBitIdenticalMerge:
         assert p_bytes == s_bytes
         assert p_stats.journal_events == s_stats.journal_events
 
+    def test_in_process_merge_equals_direct_observation(self, serial):
+        # A workers=1 batch also runs as a shard whose private registry
+        # is merged into the runner's; that must equal a registry that
+        # watched the same runs directly.
+        s_stats, s_reg = serial
+        direct = MetricsRegistry()
+        runs = make_runner(direct).run_range(0, N_RUNS, MAX_STEPS)
+        assert runs == s_stats.runs
+        assert direct.to_dict() == s_reg.to_dict()
+
     def test_shard_parts_cleaned_up(self, parallel, tmp_path):
         p_stats, _ = parallel
         import glob
@@ -155,6 +192,51 @@ class TestBitIdenticalMerge:
 
         assert (runner(2).run_many(6, max_steps=MAX_STEPS, workers=2).runs
                 == runner(1).run_many(6, max_steps=MAX_STEPS).runs)
+
+
+class TestWorkerReuse:
+    """Workers outlive their shards: at most ``workers`` processes run a
+    sweep, and only a faulting one is replaced."""
+
+    def test_fault_free_sweep_starts_one_process_per_worker(
+            self, serial, worker_starts):
+        s_stats, s_reg = serial
+        reg = MetricsRegistry()
+        stats = make_runner(reg).run_many(N_RUNS, max_steps=MAX_STEPS,
+                                          workers=2, shard_size=5)
+        assert len(plan_shards(N_RUNS, 2, 5)) == 16
+        assert len(worker_starts) == 2
+        assert stats.runs == s_stats.runs
+        assert reg.to_dict() == s_reg.to_dict()
+
+    def test_crash_starts_exactly_one_replacement(self, serial,
+                                                  worker_starts, tmp_path):
+        s_stats, s_reg = serial
+        reg = MetricsRegistry()
+        path = str(tmp_path / "crash.jsonl")
+        stats = make_runner(reg).run_many(
+            N_RUNS, max_steps=MAX_STEPS, workers=2, shard_size=5,
+            journal_path=path,
+            policy=SupervisorPolicy(backoff_base=0.001, backoff_cap=0.002),
+            fault_plan=FaultPlan.build({(3, 0): FaultAction("crash")}))
+        assert [(e.shard, e.attempt, e.kind) for e in stats.faults.events] \
+            == [(3, 0, "crash")]
+        assert len(worker_starts) == 3
+        assert stats.runs == s_stats.runs
+        assert reg.to_dict() == s_reg.to_dict()
+        with open(s_stats.journal_path, "rb") as a, open(path, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_unsupervised_shard_fault_names_range_and_cause(self):
+        runner = ExperimentRunner(
+            protocol_factory=ProtocolSpec("two", 2),
+            scheduler_factory=SchedulerSpec("random"),
+            inputs_factory=inputs_raising_at_run_13,
+            seed=SEED,
+        )
+        with pytest.raises(SupervisorError,
+                           match=r"runs \[0, 40\)\).*KeyError"):
+            runner.run_many(N_RUNS, max_steps=MAX_STEPS, workers=2)
 
 
 class TestEdgesAndErrors:
