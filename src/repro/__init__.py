@@ -33,8 +33,8 @@ Package map
     measurements against them.
 ``repro.obs``
     Kernel observability: event hooks, streaming metrics (counters /
-    gauges / percentile histograms), JSONL run journals, and phase
-    timers — see ``docs/OBSERVABILITY.md``.
+    gauges / percentile histograms), JSONL run journals, and the phase-timing
+    profiler — see ``docs/OBSERVABILITY.md``.
 ``repro.spec``
     The canonical :class:`~repro.spec.RunSpec`: one frozen, picklable
     description of a run with a stable content hash — see
@@ -81,7 +81,7 @@ from repro.errors import (
     VerificationError,
 )
 from repro.faults import FaultAction, FaultPlan, InjectedFault
-from repro.obs import JsonlJournal, MetricsRegistry, PhaseTimer
+from repro.obs import JsonlJournal, MetricsRegistry
 from repro.parallel.supervisor import (FaultReport, SupervisorError,
                                        SupervisorPolicy, run_supervised)
 from repro.sim import BOTTOM, ExperimentRunner, ReplayableRng, Simulation
@@ -114,7 +114,6 @@ __all__ = [
     "JsonlJournal",
     "MetricsRegistry",
     "ObsOptions",
-    "PhaseTimer",
     "ReplayableRng",
     "RunSpec",
     "RunStore",

@@ -519,7 +519,7 @@ def _cmd_journal_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs import MetricsRegistry, PhaseTimer
+    from repro.obs import MetricsRegistry
 
     if args.from_journal:
         from repro.obs import replay_journal
@@ -554,8 +554,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
             policy = SupervisorPolicy(**kwargs)
         except ValueError as exc:
             raise SystemExit(str(exc))
-    if (args.timing or args.profile) and (args.workers > 1 or supervise):
-        raise SystemExit("--timing/--profile need --workers 1 "
+    if args.profile and (args.workers > 1 or supervise):
+        raise SystemExit("--profile needs --workers 1 "
                          "(wall-clock phases cannot be attributed "
                          "across worker processes, which supervised "
                          "batches always use)")
@@ -574,14 +574,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     inputs = tuple(args.inputs.split(","))
     protocol_name = args.protocol
     metrics = MetricsRegistry()
-    timer = PhaseTimer() if args.timing else None
     profiler = None
     if args.profile:
         from repro.obs import TimeAttributionProfiler
 
         profiler = TimeAttributionProfiler(
             (protocol_name, args.scheduler, args.memory))
-    sinks = tuple(s for s in (metrics, timer, profiler) if s is not None)
+    sinks = (metrics,) if profiler is None else (metrics, profiler)
     if args.resume:
         # Refuse to silently restart from scratch: the exact content
         # address this sweep will run under must already hold shards.
@@ -635,10 +634,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"{args.runs} runs of {protocol_name!r} on inputs {args.inputs} "
         f"under {args.scheduler!r} (seed {args.seed}{sharded})",
     )
-    if timer is not None:
-        print("\nphase timing:")
-        print(timer.render())
     if profiler is not None:
+        print("\nphase timing:")
+        print(profiler.render_phases())
         print("\ntime attribution:")
         print(profiler.render())
         if args.folded:
@@ -836,11 +834,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "for this sweep and fail if there are none "
                         "(guards against silently restarting from "
                         "scratch after a parameter typo)")
-    p.add_argument("--timing", action="store_true",
-                   help="attach a PhaseTimer and print phase wall-times")
     p.add_argument("--profile", action="store_true",
-                   help="attach a time-attribution profiler (scheduler/"
-                        "transition/memory/kernel/hooks split)")
+                   help="attach a time-attribution profiler and print "
+                        "phase wall-times and the scheduler/transition/"
+                        "memory/kernel/hooks split")
     p.add_argument("--folded", metavar="PATH", default=None,
                    help="with --profile: write flamegraph-ready folded "
                         "stacks to PATH")

@@ -872,11 +872,11 @@ def replay_run(cp: CompiledProtocol, result: RunResult, rec: RunRecord,
                run_index: Optional[int] = None) -> None:
     """Re-emit one recorded run's kernel event stream into ``sinks``.
 
-    Event order per step is the kernel's observed-path contract
+    Event order per step is the kernel's emission contract
     (sched → coin-flip → read/write → decision → step; see
-    ``Simulation._observed_step_processor``), so journals and metrics
-    replayed from a vector batch are byte-identical to a serial
-    instrumented batch of the same seeds.
+    ``Simulation._run_fast``), so journals and metrics replayed from a
+    vector batch are byte-identical to a serial observed batch of the
+    same seeds.
     """
     hub = make_hub(sinks)
     if hub is None:

@@ -1,4 +1,4 @@
-"""Kernel-level observability: hooks, metrics, journals, and timers.
+"""Kernel-level observability: hooks, metrics, journals, and profiling.
 
 The simulation kernel serializes an asynchronous execution into a single
 global order of register operations.  Everything the paper quantifies —
@@ -20,17 +20,16 @@ slow or memory-hungry:
   writing one bounded JSON record per event; a journal can be replayed
   back into a fresh :class:`MetricsRegistry` to reproduce the exact
   metrics of the live run.
-* :mod:`repro.obs.timers` — :class:`PhaseTimer`, a wall-clock profiling
-  sink splitting run time into scheduler-choice / kernel-step /
-  protocol-transition / memory-resolution phases.
 * :mod:`repro.obs.tracing` — :class:`Tracer`, an OpenTelemetry-shaped
   span sink whose trace/span ids derive deterministically from the
   run's replay key, so a replay produces the identical trace.
 * :mod:`repro.obs.telemetry` — per-shard heartbeats for live batch
   progress (``repro top``); wall-clock only, never part of results.
-* :mod:`repro.obs.profiling` — :class:`TimeAttributionProfiler`,
-  attributing run wall time to scheduler / transition / memory /
-  kernel / hooks components for folded-stack flamegraphs.
+* :mod:`repro.obs.profiling` — :class:`TimeAttributionProfiler`, the
+  timing sink: per-phase wall time (scheduler choice / kernel step /
+  protocol transition / memory resolution), attributed to scheduler /
+  transition / memory / kernel / hooks components for folded-stack
+  flamegraphs.
 * :mod:`repro.obs.export` — Prometheus text, OTLP-style JSON, and
   folded-stack emitters (with strict round-trip parsers).
 """
@@ -45,7 +44,6 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiling import TimeAttributionProfiler, profile_matrix
 from repro.obs.telemetry import (Heartbeat, TelemetryEmitter,
                                  read_telemetry, render_top)
-from repro.obs.timers import PhaseTimer
 from repro.obs.tracing import (Span, Tracer, render_span_tree, span_id_for,
                                trace_id_for)
 
@@ -63,7 +61,6 @@ __all__ = [
     "iter_spans",
     "replay_journal",
     "verify_journal",
-    "PhaseTimer",
     "Span",
     "Tracer",
     "trace_id_for",

@@ -39,9 +39,9 @@ Event vocabulary (one method per event, mirroring the kernel):
 sinks observe exactly the event streams they always did.
 
 Timing is pull-based: the kernel only reaches for ``perf_counter`` when
-some attached sink sets ``wants_timing = True`` (see
-:class:`~repro.obs.timers.PhaseTimer`), so metric and journal sinks
-never pay for clock reads.
+some attached sink sets ``wants_timing = True`` (in this package, only
+:class:`~repro.obs.profiling.TimeAttributionProfiler` does), so metric
+and journal sinks never pay for clock reads.
 """
 
 from __future__ import annotations

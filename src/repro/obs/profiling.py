@@ -1,20 +1,34 @@
-"""Per-component time attribution — flamegraph fuel.
+"""Per-phase and per-component time attribution — flamegraph fuel.
 
-:class:`~repro.obs.timers.PhaseTimer` answers "how long did each kernel
-phase take"; this module answers the budgeting question behind it:
-*which component owns each microsecond of a run* — the scheduler (the
+:class:`TimeAttributionProfiler` is the package's timing sink.  It
+sets ``wants_timing``; the kernel reads ``perf_counter`` only when some
+attached sink does, so metrics or journal sinks alone never pay for
+clock reads.  It keeps the seconds and event count of every phase the
+kernel emits:
+
+``sched``       one scheduler consultation sequence (including any
+                injected crashes) before a step
+``step``        one processor step (a :meth:`Simulation.step_processor`
+                execution, or one step of a run)
+``transition``  the protocol-automaton part of a step
+                (``branches`` + ``observe``), a subset of ``step``
+``memory``      weak-memory value resolution inside a step (legal-set
+                computation, adversary consultation, write
+                installation); a subset of ``step``, disjoint from
+                ``transition``, and never emitted under atomic
+                semantics (atomic register access is plain kernel work)
+
+:meth:`~TimeAttributionProfiler.render_phases` prints that table.  The
+profiler then answers the budgeting question behind it: *which
+component owns each microsecond of a run* — the scheduler (the
 adversary), the protocol transition function, the memory model, the
-kernel's own bookkeeping, or the observability hooks themselves.
-
-:class:`TimeAttributionProfiler` is a timing sink that folds the
-kernel's phase stream into five disjoint components:
+kernel's own bookkeeping, or the observability hooks themselves.  It
+folds the phases into five disjoint components:
 
 ``scheduler``   the ``sched`` phase — adversary consultations, crash
                 injection, liveness filtering
-``transition``  the protocol-automaton part of a step (``branches`` +
-                ``observe``), a subset of ``step``
-``memory``      weak-memory value resolution (``memory`` phase; zero
-                under atomic semantics, where no resolution happens)
+``transition``  the ``transition`` phase
+``memory``      the ``memory`` phase (zero under atomic semantics)
 ``kernel``      the remainder of ``step`` — serialization bookkeeping,
                 register access, decision tracking
 ``hooks``       run wall time not inside ``sched`` or ``step`` — hub
@@ -121,6 +135,16 @@ class TimeAttributionProfiler(BaseSink):
             "run_seconds": self.run_seconds,
             "components": self.components(),
         }
+
+    def render_phases(self) -> str:
+        """The phase table: seconds, event count and mean per phase."""
+        width = max(map(len, self.phase_counts), default=0)
+        lines = []
+        for name, count in sorted(self.phase_counts.items()):
+            seconds = self.phase_seconds[name]
+            lines.append(f"  {name:<{width}}  {seconds:.4f}s over {count} "
+                         f"events ({seconds * 1e6 / count:.2f}us mean)")
+        return "\n".join(lines)
 
     def render(self) -> str:
         comps = self.components()

@@ -27,13 +27,12 @@ durations (``wall_us`` attribute); the ids and logical times stay
 deterministic either way.
 
 The tracer is an ordinary :class:`~repro.obs.hooks.BaseSink`: attaching
-it routes the kernel through the instrumented step path (exactly like
-attaching a metrics registry) and **cannot perturb the run** — the
+it turns on the hook emissions of the kernel's one step loop (exactly
+like attaching a metrics registry) and **cannot perturb the run** — the
 differential suite in ``tests/test_obs_tracing.py`` pins results,
 journal bytes, and per-processor RNG draw counts with and without a
 tracer attached.  With no tracer (and no other sink) attached the
-kernel keeps its inlined no-hub hot path; tracing costs nothing when
-off.
+kernel keeps no hub; tracing costs nothing when off.
 """
 
 from __future__ import annotations

@@ -72,7 +72,7 @@ class ObsOptions:
     Only options that change *what is recorded* belong here (they are
     part of the content address: a sweep recorded without a journal
     cannot serve a request that needs journal bytes).  Wall-clock-only
-    observability — telemetry heartbeats, phase timers, tracers — never
+    observability — telemetry heartbeats, timing profilers, tracers — never
     affects results or stored artifacts and is deliberately absent.
     """
 

@@ -124,7 +124,7 @@ class TestReport:
         assert "num_depth" in live_out
 
     def test_report_timing(self, capsys):
-        assert main(["report", "--runs", "10", "--timing"]) == 0
+        assert main(["report", "--runs", "10", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "phase timing:" in out
         assert "transition" in out
@@ -177,16 +177,16 @@ class TestReport:
 
     def test_report_store_hosts_timing(self, tmp_path, capsys):
         # In-process shards run on the caller's runner and sinks, so a
-        # store-backed sweep can carry --timing; the stored sweep's
+        # store-backed sweep can carry --profile; the stored sweep's
         # metrics match the plain command's.
         import json
 
         plain, stored = str(tmp_path / "plain.json"), \
             str(tmp_path / "stored.json")
-        assert main(["report", "--runs", "40", "--timing",
+        assert main(["report", "--runs", "40", "--profile",
                      "--json", plain]) == 0
         capsys.readouterr()
-        assert main(["report", "--runs", "40", "--timing",
+        assert main(["report", "--runs", "40", "--profile",
                      "--store", str(tmp_path / "runs.store"),
                      "--json", stored]) == 0
         out = capsys.readouterr().out
@@ -200,7 +200,7 @@ class TestReport:
 
     def test_report_timing_rejected_with_workers(self):
         with pytest.raises(SystemExit, match="workers 1"):
-            main(["report", "--runs", "5", "--workers", "2", "--timing"])
+            main(["report", "--runs", "5", "--workers", "2", "--profile"])
 
     def test_report_bad_worker_count_rejected(self):
         with pytest.raises(SystemExit, match="workers"):

@@ -26,8 +26,10 @@ from repro.core.three_unbounded import ThreeUnboundedProtocol
 from repro.core.two_process import TwoProcessProtocol
 from repro.checker.explorer import explore, successors
 from repro.errors import SimulationError
-from repro.obs import JsonlJournal, MetricsRegistry
-from repro.sched.adversary import DisagreementAdversary, SplitVoteAdversary
+from repro.obs import (JsonlJournal, MetricsRegistry,
+                       TimeAttributionProfiler, Tracer)
+from repro.sched.adversary import (DisagreementAdversary, ReadValueAdversary,
+                                   SplitVoteAdversary)
 from repro.sched.crash import CrashingScheduler, CrashPlan
 from repro.sched.simple import (
     BlockScheduler,
@@ -37,7 +39,7 @@ from repro.sched.simple import (
     RoundRobinScheduler,
 )
 from repro.sim.config import Configuration, RegisterLayout
-from repro.sim.kernel import Simulation
+from repro.sim.kernel import Activate, Simulation
 from repro.sim.ops import BOTTOM, ReadOp, WriteOp
 from repro.sim.process import Automaton, Branch, RegisterSpec
 from repro.sim.rng import ReplayableRng
@@ -50,14 +52,14 @@ from repro.sim.transitions import TransitionCache
 
 def run_one(protocol_factory, inputs, scheduler_factory, seed, *,
             engine, max_steps=3_000, record_trace=False, cache=None,
-            sinks=None):
+            sinks=None, memory=None):
     """One run with the full seed-derivation discipline of the runner."""
     rng = ReplayableRng(seed)
     scheduler = scheduler_factory(rng.child("sched"))
     sim = Simulation(
         protocol_factory(), inputs, scheduler, rng.child("kernel"),
         record_trace=record_trace, engine=engine, cache=cache,
-        sinks=sinks,
+        sinks=sinks, memory=memory,
     )
     result = sim.run(max_steps)
     draws = tuple(r.draws for r in sim._proc_rngs)
@@ -144,31 +146,140 @@ def test_traces_identical_when_recorded():
 
 
 # ----------------------------------------------------------------------
-# Observability parity: journal bytes and metrics must not change
+# Observability parity: journal bytes, metrics, span trees and phase
+# counts must not change
 # ----------------------------------------------------------------------
 
-def test_journal_bytes_identical(tmp_path):
-    protocol_factory, inputs = PROTOCOLS["two_process"]
-    paths = {}
+class ForcedReadScheduler(RandomScheduler):
+    """Random activation order that pre-commits every certain read.
+
+    When the chosen processor's next operation is a read whatever its
+    coin says, the scheduler pre-commits the last legal value
+    (``Activate(pid, read_value=...)``); under atomic semantics that is
+    the committed value, under weak semantics the newest pending one.
+    """
+
+    def choose(self, view):
+        pid = super().choose(view)
+        ops = {b.op for b in view.protocol.branches(pid, view.state_of(pid))}
+        if len(ops) == 1:
+            op = ops.pop()
+            if isinstance(op, ReadOp):
+                return Activate(
+                    pid, read_value=view.read_choices(op.register)[-1])
+        return pid
+
+
+OBS_SCHEDULERS = dict(
+    SCHEDULERS,
+    read_adversary=lambda rng: ReadValueAdversary(ForcedReadScheduler(rng),
+                                                  policy="adversarial"),
+)
+
+#: (protocol, scheduler, memory) cells of the parity tests: every
+#: protocol under a benign, a crashing and an adaptive scheduler, and
+#: under every register semantics with the adversary forcing read
+#: values (pre-committed where the read is certain, through
+#: ``resolve_read`` otherwise).
+OBS_CASES = [
+    (protocol_name, scheduler_name, None)
+    for protocol_name in sorted(PROTOCOLS)
+    for scheduler_name in ("random", "crashing", "split_vote")
+] + [
+    (protocol_name, "read_adversary", memory)
+    for protocol_name in sorted(PROTOCOLS)
+    for memory in ("atomic", "regular", "safe")
+]
+
+
+def observe_pair(case, seed, make_sink):
+    """Run one OBS_CASES cell on both engines, one fresh sink each.
+
+    Returns ``{engine: (sink, result)}``.
+    """
+    protocol_name, scheduler_name, memory = case
+    protocol_factory, inputs = PROTOCOLS[protocol_name]
+    out = {}
     for engine in ("fast", "reference"):
-        path = tmp_path / f"journal_{engine}.jsonl"
-        journal = JsonlJournal(str(path))
-        run_one(protocol_factory, inputs, SCHEDULERS["random"], 11,
-                engine=engine, sinks=(journal,))
-        journal.close()
-        paths[engine] = path.read_bytes()
-    assert paths["fast"] == paths["reference"]
+        sink = make_sink(engine)
+        result, _ = run_one(protocol_factory, inputs,
+                            OBS_SCHEDULERS[scheduler_name], seed,
+                            engine=engine, sinks=(sink,), memory=memory)
+        out[engine] = (sink, result)
+    return out
+
+
+def test_journal_bytes_identical(tmp_path):
+    for case in OBS_CASES:
+        pair = observe_pair(case, 11, lambda engine: JsonlJournal(
+            str(tmp_path / f"journal_{engine}.jsonl")))
+        journals = {}
+        for engine, (journal, _) in pair.items():
+            journal.close()
+            journals[engine] = (tmp_path / f"journal_{engine}.jsonl") \
+                .read_bytes()
+        assert journals["fast"] == journals["reference"], case
 
 
 def test_metrics_identical():
+    for case in OBS_CASES:
+        pair = observe_pair(case, 23, lambda engine: MetricsRegistry())
+        registries = {engine: reg.to_dict()
+                      for engine, (reg, _) in pair.items()}
+        assert registries["fast"] == registries["reference"], case
+
+
+def test_tracer_span_trees_identical():
+    for case in OBS_CASES:
+        pair = observe_pair(case, 31, lambda engine: Tracer())
+        trees = {engine: [span.to_dict() for span in tracer.spans]
+                 for engine, (tracer, _) in pair.items()}
+        assert trees["fast"], case
+        assert trees["fast"] == trees["reference"], case
+
+
+def test_profiler_phase_counts_identical():
+    for case in OBS_CASES:
+        pair = observe_pair(case, 37,
+                            lambda engine: TimeAttributionProfiler())
+        counts = {}
+        for engine, (profiler, result) in pair.items():
+            assert profiler.phase_counts["step"] == result.total_steps
+            counts[engine] = profiler.phase_counts
+        assert counts["fast"] == counts["reference"], case
+
+
+def test_mixed_stepping_identical_with_sinks(tmp_path):
+    """``step()``, ``step_processor(pid)`` and ``run()`` interleaved on
+    one observed simulation: both engines return the same records and
+    emit the same events."""
     protocol_factory, inputs = PROTOCOLS["three_bounded"]
-    registries = {}
+    seen = {}
     for engine in ("fast", "reference"):
-        reg = MetricsRegistry()
-        run_one(protocol_factory, inputs, SCHEDULERS["random"], 23,
-                engine=engine, sinks=(reg,))
-        registries[engine] = reg.to_dict()
-    assert registries["fast"] == registries["reference"]
+        rng = ReplayableRng(5)
+        path = tmp_path / f"mixed_{engine}.jsonl"
+        journal = JsonlJournal(str(path))
+        registry = MetricsRegistry()
+        profiler = TimeAttributionProfiler()
+        sim = Simulation(protocol_factory(), inputs,
+                         RandomScheduler(rng.child("sched")),
+                         rng.child("kernel"), record_trace=True,
+                         engine=engine,
+                         sinks=(journal, registry, profiler))
+        records = [sim.step(), sim.step_processor(2), sim.step(),
+                   sim.step_processor(0), sim.step_processor(0)]
+        result = sim.run(3_000)
+        journal.close()
+        assert records == list(result.trace)[:len(records)]
+        assert profiler.phase_counts["step"] == result.total_steps
+        # step_processor bypasses the scheduler: no sched phase.
+        assert profiler.phase_counts["sched"] == result.total_steps - 3
+        seen[engine] = (result, records, list(result.trace),
+                        path.read_bytes(), registry.to_dict(),
+                        profiler.phase_counts)
+    fast, ref = seen["fast"], seen["reference"]
+    assert_identical(fast[0], ref[0])
+    assert fast[1:] == ref[1:]
 
 
 # ----------------------------------------------------------------------
