@@ -30,13 +30,14 @@ from repro.sim.runner import ExperimentRunner
 
 N_RUNS = 10_000
 MAX_STEPS = 4_000
-# Enabled-path budgets: ratios over the no-sink baseline.  The
-# baseline is the kernel fast path's inlined sink-free loop (PR 3, see
-# docs/PERFORMANCE.md), so attaching any sink both adds the emissions
-# and leaves that inlining behind — measured on the reference machine:
-# metrics ~1.8x, journal ~2.8x.  The budgets leave headroom for noisy
-# CI hosts while still catching a hot-path regression (e.g. an
-# accidental allocation per event).
+# Enabled-path budgets: ratios over the no-sink baseline.  Observed
+# and sink-free runs take the same kernel loop (``Simulation._run_fast``,
+# see docs/PERFORMANCE.md); an attached sink adds only its emissions,
+# which sit behind ``obs is not None`` checks.  The budgets were set
+# when observed runs still took a separate, slower step loop (metrics
+# ~1.8x, journal ~2.8x on the reference machine), so they leave
+# headroom for noisy CI hosts while still catching a hot-path
+# regression (e.g. an accidental allocation per event).
 METRICS_BUDGET = 3.5
 JOURNAL_BUDGET = 7.0
 

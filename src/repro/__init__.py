@@ -62,68 +62,40 @@ Quickstart
 True
 """
 
-from repro.core import (
-    ConsensusOutcome,
-    ConsensusProtocol,
-    MultiValuedProtocol,
-    NaiveProtocol,
-    NProcessProtocol,
-    ThreeBoundedProtocol,
-    ThreeUnboundedProtocol,
-    TwoProcessProtocol,
-    solve,
-)
-from repro.errors import (
-    AccessViolation,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    VerificationError,
-)
-from repro.faults import FaultAction, FaultPlan, InjectedFault
-from repro.obs import JsonlJournal, MetricsRegistry
-from repro.parallel.supervisor import (FaultReport, SupervisorError,
-                                       SupervisorPolicy, run_supervised)
-from repro.sim import BOTTOM, ExperimentRunner, ReplayableRng, Simulation
-from repro.spec import ObsOptions, RunSpec, SpecError
-from repro.store import RunStore, ShardVerdict, StoreError, StoreStats
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.core": (
+        "ConsensusOutcome",
+        "ConsensusProtocol",
+        "MultiValuedProtocol",
+        "NaiveProtocol",
+        "NProcessProtocol",
+        "ThreeBoundedProtocol",
+        "ThreeUnboundedProtocol",
+        "TwoProcessProtocol",
+        "solve",
+    ),
+    "repro.errors": (
+        "AccessViolation",
+        "ProtocolError",
+        "ReproError",
+        "SimulationError",
+        "VerificationError",
+    ),
+    "repro.faults": ("FaultAction", "FaultPlan", "InjectedFault"),
+    "repro.obs": ("JsonlJournal", "MetricsRegistry"),
+    "repro.parallel.supervisor": ("FaultReport", "SupervisorError",
+                                  "SupervisorPolicy", "run_supervised"),
+    "repro.sim": ("BOTTOM", "ExperimentRunner", "ReplayableRng",
+                  "Simulation"),
+    "repro.spec": ("ObsOptions", "RunSpec", "SpecError"),
+    "repro.store": ("RunStore", "ShardVerdict", "StoreError", "StoreStats"),
+}
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ConsensusOutcome",
-    "ConsensusProtocol",
-    "MultiValuedProtocol",
-    "NaiveProtocol",
-    "NProcessProtocol",
-    "ThreeBoundedProtocol",
-    "ThreeUnboundedProtocol",
-    "TwoProcessProtocol",
-    "solve",
-    "AccessViolation",
-    "ProtocolError",
-    "ReproError",
-    "SimulationError",
-    "VerificationError",
-    "BOTTOM",
-    "ExperimentRunner",
-    "FaultAction",
-    "FaultPlan",
-    "FaultReport",
-    "InjectedFault",
-    "JsonlJournal",
-    "MetricsRegistry",
-    "ObsOptions",
-    "ReplayableRng",
-    "RunSpec",
-    "RunStore",
-    "ShardVerdict",
-    "Simulation",
-    "SpecError",
-    "StoreError",
-    "StoreStats",
-    "SupervisorError",
-    "SupervisorPolicy",
-    "__version__",
-    "run_supervised",
-]
+__all__ = ["__version__"] + [name for names in _EXPORTS.values()
+                             for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -9,38 +9,30 @@ the CPython RNG those tables are stepped with, and
 contract, and refusal cases are specified in docs/IR.md.
 """
 
-from repro.ir.lower import (
-    CompiledProtocol,
-    IRCompileError,
-    IRUnsupportedError,
-    MAX_STATES,
-    MAX_VALUES,
-    compile_protocol,
-)
-from repro.ir.vector import (
-    BATCH_CHUNK,
-    RunRecord,
-    SCALAR_CUTOFF,
-    SUPPORTED_SCHEDULERS,
-    VectorBatch,
-    VectorKernel,
-    replay_run,
-    vectorize_scheduler,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BATCH_CHUNK",
-    "CompiledProtocol",
-    "IRCompileError",
-    "IRUnsupportedError",
-    "MAX_STATES",
-    "MAX_VALUES",
-    "RunRecord",
-    "SCALAR_CUTOFF",
-    "SUPPORTED_SCHEDULERS",
-    "VectorBatch",
-    "VectorKernel",
-    "compile_protocol",
-    "replay_run",
-    "vectorize_scheduler",
-]
+_EXPORTS = {
+    "repro.ir.lower": (
+        "CompiledProtocol",
+        "IRCompileError",
+        "IRUnsupportedError",
+        "MAX_STATES",
+        "MAX_VALUES",
+        "compile_protocol",
+    ),
+    # NumPy-backed: imported only when one of these names is first read.
+    "repro.ir.vector": (
+        "BATCH_CHUNK",
+        "RunRecord",
+        "SCALAR_CUTOFF",
+        "SUPPORTED_SCHEDULERS",
+        "VectorBatch",
+        "VectorKernel",
+        "replay_run",
+        "vectorize_scheduler",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -34,47 +34,23 @@ slow or memory-hungry:
   folded-stack emitters (with strict round-trip parsers).
 """
 
-from repro.obs.export import (folded_stacks, otlp_json, parse_folded,
-                              parse_prometheus, prometheus_text)
-from repro.obs.hooks import BaseSink, ObsHub
-from repro.obs.journal import (JournalVerdict, JsonlJournal,
-                               concatenate_journals, iter_events,
-                               iter_spans, replay_journal, verify_journal)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profiling import TimeAttributionProfiler, profile_matrix
-from repro.obs.telemetry import (Heartbeat, TelemetryEmitter,
-                                 read_telemetry, render_top)
-from repro.obs.tracing import (Span, Tracer, render_span_tree, span_id_for,
-                               trace_id_for)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BaseSink",
-    "ObsHub",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "JsonlJournal",
-    "JournalVerdict",
-    "concatenate_journals",
-    "iter_events",
-    "iter_spans",
-    "replay_journal",
-    "verify_journal",
-    "Span",
-    "Tracer",
-    "trace_id_for",
-    "span_id_for",
-    "render_span_tree",
-    "Heartbeat",
-    "TelemetryEmitter",
-    "read_telemetry",
-    "render_top",
-    "TimeAttributionProfiler",
-    "profile_matrix",
-    "folded_stacks",
-    "otlp_json",
-    "parse_folded",
-    "parse_prometheus",
-    "prometheus_text",
-]
+_EXPORTS = {
+    "repro.obs.hooks": ("BaseSink", "ObsHub"),
+    "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "repro.obs.journal": ("JsonlJournal", "JournalVerdict",
+                          "concatenate_journals", "iter_events",
+                          "iter_spans", "replay_journal", "verify_journal"),
+    "repro.obs.tracing": ("Span", "Tracer", "trace_id_for", "span_id_for",
+                          "render_span_tree"),
+    "repro.obs.telemetry": ("Heartbeat", "TelemetryEmitter",
+                            "read_telemetry", "render_top"),
+    "repro.obs.profiling": ("TimeAttributionProfiler", "profile_matrix"),
+    "repro.obs.export": ("folded_stacks", "otlp_json", "parse_folded",
+                         "parse_prometheus", "prometheus_text"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -31,46 +31,34 @@ Most callers never import this package directly: pass ``workers=N``
 results.
 """
 
-from repro.parallel.engine import (
-    BatchSpec,
-    ShardResult,
-    ShardTask,
-    plan_shards,
-    run_parallel,
-    shard_journal_path,
-)
-from repro.parallel.supervisor import (
-    DEGRADE_LADDER,
-    FaultEvent,
-    FaultReport,
-    SupervisorError,
-    SupervisorPolicy,
-    run_supervised,
-)
-from repro.parallel.tasks import (
-    PROTOCOL_NAMES,
-    SCHEDULER_NAMES,
-    ConstantInputs,
-    ProtocolSpec,
-    SchedulerSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchSpec",
-    "ShardResult",
-    "ShardTask",
-    "plan_shards",
-    "run_parallel",
-    "shard_journal_path",
-    "DEGRADE_LADDER",
-    "FaultEvent",
-    "FaultReport",
-    "SupervisorError",
-    "SupervisorPolicy",
-    "run_supervised",
-    "ConstantInputs",
-    "ProtocolSpec",
-    "SchedulerSpec",
-    "PROTOCOL_NAMES",
-    "SCHEDULER_NAMES",
-]
+_EXPORTS = {
+    "repro.parallel.engine": (
+        "BatchSpec",
+        "ShardResult",
+        "ShardTask",
+        "plan_shards",
+        "run_parallel",
+        "shard_journal_path",
+    ),
+    "repro.parallel.supervisor": (
+        "DEGRADE_LADDER",
+        "FaultEvent",
+        "FaultReport",
+        "SupervisorError",
+        "SupervisorPolicy",
+        "run_supervised",
+    ),
+    "repro.parallel.tasks": (
+        "ConstantInputs",
+        "ProtocolSpec",
+        "SchedulerSpec",
+        "PROTOCOL_NAMES",
+        "SCHEDULER_NAMES",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import multiprocessing
 import os
 import pickle
 import time
@@ -267,17 +266,19 @@ def _check_picklable(spec: BatchSpec) -> None:
 
 
 def _warm_imports() -> None:
-    """Pre-import the simulation stack in the parent process.
+    """Pre-import the simulation stack before forking workers.
 
     The factory specs in :mod:`repro.parallel.tasks` import lazily on
-    first call, so a worker's first shard pays ~100ms of imports the
-    parent never triggered.  Under the ``fork`` start method children
-    inherit the parent's loaded modules — importing here once makes
-    every forked worker start warm.  Harmless under ``spawn``, where
-    children re-import regardless.
+    first call, so a worker's first shard pays the import of the
+    protocols, schedulers and runner.  Under the ``fork`` start method
+    children inherit the parent's loaded modules, so importing here
+    once makes every forked worker start warm.  It is called only for
+    ``fork``: a ``spawn`` child re-imports regardless, and warming the
+    parent would only load modules it never runs.
     """
     import repro.core  # noqa: F401
-    import repro.sched  # noqa: F401
+    import repro.sched.adversary  # noqa: F401
+    import repro.sched.simple  # noqa: F401
     import repro.sim.runner  # noqa: F401
 
 
@@ -513,7 +514,8 @@ def run_parallel(
                 f"MetricsRegistry and pass journal_path= for journals, "
                 f"or run with workers=1")
         _check_picklable(spec)
-        _warm_imports()
+        if mp_context == "fork":
+            _warm_imports()
     supervised = policy is not None
     policy = policy or _UNSUPERVISED
     report = FaultReport()
@@ -654,6 +656,8 @@ def run_parallel(
                     make_task(job.shard, engine), runner, extra_sinks,
                     append))
         elif jobs:
+            import multiprocessing
+
             _run_on_workers(jobs, workers,
                             multiprocessing.get_context(mp_context),
                             policy, plan, make_task, on_done, on_fault,

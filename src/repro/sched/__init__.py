@@ -14,49 +14,35 @@ into coin flips).  This subpackage provides:
   protocols tolerate up to n−1 crashes).
 """
 
-from repro.sched.base import Scheduler
-from repro.sched.simple import (
-    FixedScheduler,
-    ObliviousScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    BlockScheduler,
-)
-from repro.sched.adversary import (
-    AdaptiveAdversary,
-    DisagreementAdversary,
-    LaggardFreezer,
-    NaiveKillerAdversary,
-    ReadValueAdversary,
-    SplitVoteAdversary,
-)
-from repro.sched.crash import CrashingScheduler, CrashPlan
-from repro.sched.lookahead import LookaheadAdversary
-from repro.sched.optimal import (
-    GameSolution,
-    OptimalAdversary,
-    evaluate_policy,
-    solve_game,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "FixedScheduler",
-    "ObliviousScheduler",
-    "RandomScheduler",
-    "RoundRobinScheduler",
-    "BlockScheduler",
-    "AdaptiveAdversary",
-    "DisagreementAdversary",
-    "LaggardFreezer",
-    "NaiveKillerAdversary",
-    "ReadValueAdversary",
-    "SplitVoteAdversary",
-    "CrashingScheduler",
-    "CrashPlan",
-    "LookaheadAdversary",
-    "GameSolution",
-    "evaluate_policy",
-    "OptimalAdversary",
-    "solve_game",
-]
+_EXPORTS = {
+    "repro.sched.base": ("Scheduler",),
+    "repro.sched.simple": (
+        "FixedScheduler",
+        "ObliviousScheduler",
+        "RandomScheduler",
+        "RoundRobinScheduler",
+        "BlockScheduler",
+    ),
+    "repro.sched.adversary": (
+        "AdaptiveAdversary",
+        "DisagreementAdversary",
+        "LaggardFreezer",
+        "NaiveKillerAdversary",
+        "ReadValueAdversary",
+        "SplitVoteAdversary",
+    ),
+    "repro.sched.crash": ("CrashingScheduler", "CrashPlan"),
+    "repro.sched.lookahead": ("LookaheadAdversary",),
+    "repro.sched.optimal": (
+        "GameSolution",
+        "evaluate_policy",
+        "OptimalAdversary",
+        "solve_game",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Tuple
 
-from repro.checker.explorer import successors
 from repro.sched.base import Scheduler
 from repro.sim.config import Configuration
 from repro.sim.kernel import Activate, SchedulerView
@@ -58,6 +57,8 @@ class LookaheadAdversary(Scheduler):
         return f"LookaheadAdversary(h={self._horizon})"
 
     def choose(self, view: SchedulerView) -> Activate:
+        from repro.checker.explorer import successors
+
         protocol = view.protocol
         layout = view.layout
         memo: Dict[Tuple[Configuration, int], float] = {}

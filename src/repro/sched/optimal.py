@@ -34,13 +34,15 @@ finite and the Bellman operator a monotone map with a finite fixpoint.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence, Tuple
 
-from repro.checker.explorer import ConfigGraph, explore
 from repro.errors import ExplorationLimitError
 from repro.sched.base import Scheduler
 from repro.sim.config import Configuration
 from repro.sim.kernel import Activate, SchedulerView
+
+if TYPE_CHECKING:
+    from repro.checker.explorer import ConfigGraph
 
 
 @dataclasses.dataclass
@@ -90,6 +92,8 @@ def solve_game(
     otherwise).  Returns the exact worst-case expected cost and the
     maximizing policy.
     """
+    from repro.checker.explorer import explore
+
     graph = explore(protocol, inputs, max_states=max_states)
     if not graph.complete:
         raise ExplorationLimitError(
@@ -157,6 +161,8 @@ def evaluate_policy(
     encoded in the protocol state to be evaluable this way, so the
     simplest honest example is the min-enabled-id policy.
     """
+    from repro.checker.explorer import explore
+
     graph = explore(protocol, inputs, max_states=max_states)
     if not graph.complete:
         raise ExplorationLimitError(

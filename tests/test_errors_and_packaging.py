@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -18,6 +24,41 @@ from repro.errors import (
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+LAZY_PACKAGES = ("repro", "repro.obs", "repro.sched", "repro.ir",
+                 "repro.parallel")
+
+# Where the re-exported values that carry no ``__module__`` are defined.
+CONSTANT_HOMES = {
+    "__version__": "repro",
+    "MAX_STATES": "repro.ir.lower",
+    "MAX_VALUES": "repro.ir.lower",
+    "BATCH_CHUNK": "repro.ir.vector",
+    "SCALAR_CUTOFF": "repro.ir.vector",
+    "SUPPORTED_SCHEDULERS": "repro.ir.vector",
+    "DEGRADE_LADDER": "repro.parallel.supervisor",
+    "PROTOCOL_NAMES": "repro.parallel.tasks",
+    "SCHEDULER_NAMES": "repro.parallel.tasks",
+}
+
+# Modules each unit command must not load (docs/PERFORMANCE.md,
+# "Start-up").  A sweep worker runs the report path's shard body.
+REPORT_FORBIDDEN = ("numpy", "repro.checker", "repro.ir", "repro.store",
+                    "repro.obs.tracing", "repro.obs.export",
+                    "multiprocessing")
+VERIFY_FORBIDDEN = ("numpy", "repro.ir.vector", "repro.ir.mt",
+                    "repro.store", "multiprocessing")
+
+
+def _loaded_modules(code: str) -> set:
+    """``sys.modules`` of a fresh interpreter after running ``code``."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    return set(json.loads(out.stdout.splitlines()[-1]))
 
 
 class TestErrorHierarchy:
@@ -51,6 +92,62 @@ class TestPublicApi:
 
         outcome = solve(TwoProcessProtocol(), ["a", "b"], seed=1)
         assert outcome.consistent and outcome.value in ("a", "b")
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_lazy_exports_are_the_defining_objects(self, package):
+        pkg = importlib.import_module(package)
+        for name in pkg.__all__:
+            value = getattr(pkg, name)
+            home = CONSTANT_HOMES.get(name)
+            if home is None:
+                home = inspect.getmodule(value).__name__
+            assert home.startswith(package), (package, name, home)
+            assert getattr(importlib.import_module(home), name) is value, (
+                package, name)
+            assert name in dir(pkg)
+        namespace: dict = {}
+        exec(f"from {package} import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(pkg.__all__)
+        assert all(namespace[n] is getattr(pkg, n) for n in namespace)
+        with pytest.raises(AttributeError):
+            getattr(pkg, "no_such_name")
+
+    def test_submodules_resolve_as_package_attributes(self):
+        loaded = _loaded_modules(
+            "import repro\n"
+            "repro.sim.Simulation, repro.parallel.engine.run_parallel")
+        assert {"repro.sim", "repro.parallel.engine"} <= loaded
+
+    @pytest.mark.parametrize("args, forbidden", [
+        (["report", "--runs", "1", "--workers", "1"], REPORT_FORBIDDEN),
+        (["verify", "--engine", "fingerprints", "--max-states", "1"],
+         VERIFY_FORBIDDEN),
+    ], ids=["report", "verify-fingerprints"])
+    def test_unit_command_import_budget(self, args, forbidden):
+        loaded = _loaded_modules(
+            f"from repro.cli import main\nmain({args!r})")
+        assert "repro.cli" in loaded
+        assert sorted(loaded & set(forbidden)) == []
+
+    def test_sweep_worker_import_budget(self):
+        # The body of a spawned sweep worker: unpickle a shard task,
+        # rebuild the runner, execute the shard.
+        loaded = _loaded_modules(
+            "import pickle\n"
+            "from repro.parallel.engine import (BatchSpec, ShardTask,\n"
+            "    _execute_shard, _spec_runner)\n"
+            "from repro.parallel.tasks import (ConstantInputs, "
+            "ProtocolSpec,\n"
+            "    SchedulerSpec)\n"
+            "spec = BatchSpec(ProtocolSpec('two'), "
+            "SchedulerSpec('split-vote'),\n"
+            "    ConstantInputs(('a', 'b')), seed=1)\n"
+            "task = pickle.loads(pickle.dumps(ShardTask(spec, 0, 2, 100,\n"
+            "    with_metrics=True, telemetry=True)))\n"
+            "_execute_shard(task, _spec_runner(task.spec), beat=print)")
+        assert "repro.sim.runner" in loaded
+        assert sorted(loaded & set(REPORT_FORBIDDEN)) == []
 
     def test_subpackages_importable(self):
         import repro.apps
