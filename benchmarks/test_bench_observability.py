@@ -32,12 +32,15 @@ N_RUNS = 10_000
 MAX_STEPS = 4_000
 # Enabled-path budgets: ratios over the no-sink baseline.  Observed
 # and sink-free runs take the same kernel loop (``Simulation._run_fast``,
-# see docs/PERFORMANCE.md); an attached sink adds only its emissions,
-# which sit behind ``obs is not None`` checks.  The budgets were set
-# when observed runs still took a separate, slower step loop (metrics
-# ~1.8x, journal ~2.8x on the reference machine), so they leave
-# headroom for noisy CI hosts while still catching a hot-path
-# regression (e.g. an accidental allocation per event).
+# see docs/PERFORMANCE.md).  A journal is a per-step sink and adds its
+# emissions; a MetricsRegistry is a run-tally sink, so the loop counts
+# in locals and folds the counts into it once per run instead of
+# calling it per step (docs/OBSERVABILITY.md, "The sink contract").
+# The budgets were set when observed runs still took a separate,
+# slower step loop (metrics ~1.8x, journal ~2.8x on the reference
+# machine), so they leave headroom for noisy CI hosts while still
+# catching a hot-path regression (e.g. an accidental allocation per
+# event).
 METRICS_BUDGET = 3.5
 JOURNAL_BUDGET = 7.0
 

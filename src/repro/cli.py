@@ -87,25 +87,11 @@ def _engine_argument(parser: argparse.ArgumentParser, kind: str,
 
 
 def _build_protocol(name: str, n_inputs: int):
-    from repro.core import (
-        NaiveProtocol,
-        NProcessProtocol,
-        ThreeBoundedProtocol,
-        ThreeUnboundedProtocol,
-        TwoProcessProtocol,
-    )
+    from repro.parallel.tasks import PROTOCOL_NAMES, ProtocolSpec
 
-    if name == "two":
-        return TwoProcessProtocol()
-    if name == "three-unbounded":
-        return ThreeUnboundedProtocol()
-    if name == "three-bounded":
-        return ThreeBoundedProtocol()
-    if name == "n":
-        return NProcessProtocol(n_inputs)
-    if name == "naive":
-        return NaiveProtocol(n_inputs)
-    raise SystemExit(f"unknown protocol {name!r}")
+    if name not in PROTOCOL_NAMES:
+        raise SystemExit(f"unknown protocol {name!r}")
+    return ProtocolSpec(name, n_inputs)()
 
 
 def _build_scheduler(name: str, seed: int, memory: str = "atomic",

@@ -18,24 +18,20 @@
 * :mod:`repro.core.consensus` — the high-level convenience API.
 """
 
-from repro.core.protocol import ConsensusProtocol
-from repro.core.two_process import TwoProcessProtocol
-from repro.core.three_unbounded import ThreeUnboundedProtocol, PrefNum
-from repro.core.three_bounded import ThreeBoundedProtocol
-from repro.core.n_process import NProcessProtocol
-from repro.core.multivalued import MultiValuedProtocol
-from repro.core.naive import NaiveProtocol
-from repro.core.consensus import ConsensusOutcome, solve
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConsensusProtocol",
-    "TwoProcessProtocol",
-    "ThreeUnboundedProtocol",
-    "PrefNum",
-    "ThreeBoundedProtocol",
-    "NProcessProtocol",
-    "MultiValuedProtocol",
-    "NaiveProtocol",
-    "ConsensusOutcome",
-    "solve",
-]
+_EXPORTS = {
+    "repro.core.protocol": ("ConsensusProtocol",),
+    "repro.core.two_process": ("TwoProcessProtocol",),
+    "repro.core.three_unbounded": ("ThreeUnboundedProtocol",),
+    "repro.core.rules": ("PrefNum",),
+    "repro.core.three_bounded": ("ThreeBoundedProtocol",),
+    "repro.core.n_process": ("NProcessProtocol",),
+    "repro.core.multivalued": ("MultiValuedProtocol",),
+    "repro.core.naive": ("NaiveProtocol",),
+    "repro.core.consensus": ("ConsensusOutcome", "solve"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -9,10 +9,11 @@ decision, the ``num``-field depth of the three-processor protocol
 This subpackage makes the stream first-class without making the kernel
 slow or memory-hungry:
 
-* :mod:`repro.obs.hooks` — the event protocol (:class:`BaseSink`) and
-  the fan-out hub (:class:`ObsHub`) the kernel drives.  With no sinks
-  attached the kernel keeps a ``None`` hub and pays only a handful of
-  ``is not None`` checks per step.
+* :mod:`repro.obs.hooks` — the event protocol (:class:`BaseSink`),
+  the fan-out hub (:class:`ObsHub`) the kernel drives, and the
+  :class:`RunTally` that run-tally sinks take instead of per-step
+  events.  With no sinks attached the kernel keeps a ``None`` hub and
+  pays only a few flag tests per step.
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, a sink holding
   counters, gauges, and integer histograms (p50/p90/p99) that
   aggregates cheaply across millions of steps and thousands of runs.
@@ -37,7 +38,7 @@ slow or memory-hungry:
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "repro.obs.hooks": ("BaseSink", "ObsHub"),
+    "repro.obs.hooks": ("BaseSink", "ObsHub", "RunTally"),
     "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     "repro.obs.journal": ("JsonlJournal", "JournalVerdict",
                           "concatenate_journals", "iter_events",

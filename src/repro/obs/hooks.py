@@ -3,9 +3,9 @@
 Design constraints, in order of priority:
 
 1. **Zero cost when off.**  A :class:`~repro.sim.kernel.Simulation`
-   built without sinks keeps ``_obs = None`` and every emission site in
-   the hot path collapses to one attribute load and an ``is not None``
-   test.  Monte-Carlo batches of millions of steps must not notice the
+   built without sinks keeps no hub, and its step loop pays one flag
+   test per site where a hub, a run tally or a trace would be fed.
+   Monte-Carlo batches of millions of steps must not notice the
    instrumentation exists.
 2. **Streaming, not retaining.**  Sinks see each event exactly once, in
    the global serialization order the kernel defines; nothing here
@@ -35,8 +35,24 @@ Event vocabulary (one method per event, mirroring the kernel):
 ``on_phase_time``   wall-clock span of one phase (timing sinks only)
 
 ``on_read_choices`` never fires under the default atomic semantics
-(legal sets are singletons and no resolution happens), so pre-PR-4
-sinks observe exactly the event streams they always did.
+(legal sets are singletons and no resolution happens), so sinks
+written for atomic memory observe exactly the event streams they
+always did.
+
+**Per-step and run-tally sinks.**  A sink declares what it needs with
+the class attribute ``per_step``.  Sinks that leave it ``True`` (the
+default, and so every sink that declares nothing) receive each event
+above.  A sink that sets ``per_step = False`` — in this package only
+:class:`~repro.obs.metrics.MetricsRegistry` — is a *run-tally* sink
+under the fast engine: its per-step events (``sched``, ``coin_flip``,
+``read``, ``write``, ``decision``, ``step``) arrive folded into one
+:class:`RunTally` per step-loop call through :meth:`BaseSink.on_run_tally`,
+counted by the loop in integer locals.  Run-level and cold events
+(``run_key``, ``run_start``, ``run_end``, ``crash``, ``read_choices``)
+reach every sink as calls.  The reference engine, vector replay and
+journal replay deliver the per-step events to every sink; a tally
+sink's fold must leave it exactly as those events would have.
+:func:`split_sinks` sorts a sink tuple once per simulation.
 
 Timing is pull-based: the kernel only reaches for ``perf_counter`` when
 some attached sink sets ``wants_timing = True`` (in this package, only
@@ -46,7 +62,7 @@ and journal sinks never pay for clock reads.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 
 class BaseSink:
@@ -58,8 +74,12 @@ class BaseSink:
     """
 
     #: Set to True to make the kernel measure phase wall-times and
-    #: deliver them via :meth:`on_phase_time`.
+    #: deliver them via :meth:`on_phase_time` (per-step sinks only).
     wants_timing: bool = False
+
+    #: Set to False to take a fast-engine step loop's per-step events
+    #: as one :meth:`on_run_tally` per loop call instead.
+    per_step: bool = True
 
     def on_run_key(self, root_seed: int, run_index: int) -> None:
         """The replay coordinates of the run about to start.
@@ -113,6 +133,51 @@ class BaseSink:
 
     def on_phase_time(self, phase: str, seconds: float) -> None:
         """Wall-clock duration of one ``phase`` (timing sinks only)."""
+
+    def on_run_tally(self, tally: "RunTally") -> None:
+        """The per-step events of one fast-engine loop call, folded
+        (``per_step = False`` sinks only)."""
+
+
+class RunTally:
+    """What one call of the fast engine's step loop did, as counts.
+
+    Stands in for the per-step events of that call: ``steps`` step
+    events, ``sched_consults`` consultations, ``reads`` and ``writes``
+    register events, ``coin_flips`` (``pid -> flips``) coin-flip
+    events, and ``decisions`` (``(pid, activation)`` in decision
+    order).  Register contention depends on state from before the
+    call, so it comes in three parts: ``contention`` counts writes over
+    a value written earlier in the call and still unread; ``opened``
+    names the registers whose first access in the call was a write (it
+    contends if the register was written and unread before the call);
+    ``unread`` maps every register the call touched to its final
+    written-and-unread flag.  ``num_depths`` counts the ``num`` depth
+    of each write that carries one, and ``last_num_depth`` is the
+    depth of the last such write.
+    """
+
+    __slots__ = ("steps", "sched_consults", "reads", "writes",
+                 "coin_flips", "decisions", "contention", "opened",
+                 "unread", "num_depths", "last_num_depth")
+
+    def __init__(self, steps: int, sched_consults: int, reads: int,
+                 writes: int, coin_flips: Dict[int, int],
+                 decisions: List[Tuple[int, int]], contention: int,
+                 opened: Tuple[str, ...], unread: Dict[str, bool],
+                 num_depths: Dict[int, int],
+                 last_num_depth: Optional[int]) -> None:
+        self.steps = steps
+        self.sched_consults = sched_consults
+        self.reads = reads
+        self.writes = writes
+        self.coin_flips = coin_flips
+        self.decisions = decisions
+        self.contention = contention
+        self.opened = opened
+        self.unread = unread
+        self.num_depths = num_depths
+        self.last_num_depth = last_num_depth
 
 
 class ObsHub:
@@ -193,3 +258,26 @@ def make_hub(sinks: Optional[Sequence[BaseSink]]) -> Optional[ObsHub]:
     if not sinks:
         return None
     return ObsHub(sinks)
+
+
+def split_sinks(sinks: Optional[Sequence[BaseSink]], fold: bool
+                ) -> Tuple[Optional[ObsHub], Optional[ObsHub],
+                           Optional[Tuple[BaseSink, ...]]]:
+    """``(hub, step_hub, tally_sinks)`` for a simulation's sinks.
+
+    ``hub`` fans run-level and cold events out to every sink;
+    ``step_hub`` carries the per-step events.  With ``fold`` (the fast
+    engine) sinks declaring ``per_step = False`` leave the step hub
+    and are returned as ``tally_sinks``; otherwise every sink is
+    per-step and ``tally_sinks`` is ``None``.
+    """
+    if not sinks:
+        return None, None, None
+    hub = ObsHub(sinks)
+    if fold:
+        folded = tuple([s for s in hub.sinks
+                        if not getattr(s, "per_step", True)])
+        if folded:
+            step = [s for s in hub.sinks if getattr(s, "per_step", True)]
+            return hub, (ObsHub(step) if step else None), folded
+    return hub, hub, None

@@ -350,12 +350,12 @@ def replay_journal(path: str,
                    ) -> MetricsRegistry:
     """Replay a journal's event stream into a metrics registry.
 
-    The events are dispatched through the same sink methods the live
-    kernel drives, in the same order the kernel emitted them, so the
-    resulting registry matches the live one metric for metric (modulo
-    ``sched_consults``, which the kernel observes per consultation but
-    the journal stores per run — replay reconstructs the count from the
-    ``run_end`` records).
+    The events are dispatched through the registry's per-step sink
+    methods, so the resulting registry's snapshot matches the live one
+    exactly, whether the live registry took events (reference engine)
+    or run tallies (fast engine).  Only the order of events differs:
+    the journal stores consultations per run, so replay delivers a
+    run's ``sched`` events together, before its ``run_end``.
     """
     reg = registry if registry is not None else MetricsRegistry()
     for event in iter_events(path):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.obs.hooks import BaseSink
+from repro.obs.hooks import BaseSink, RunTally
 
 
 class Counter:
@@ -199,7 +199,7 @@ class Histogram:
                 f"p50={self.p50}, p99={self.p99})")
 
 
-def _num_depth_of(value: Hashable) -> Optional[int]:
+def num_depth_of(value: Hashable) -> Optional[int]:
     """Duck-typed ``num`` field of a register value.
 
     The three-processor protocols write ``[pref, num]`` records
@@ -210,6 +210,14 @@ def _num_depth_of(value: Hashable) -> Optional[int]:
     if num is None and isinstance(value, dict):
         num = value.get("num")
     return num if isinstance(num, int) else None
+
+
+def _add(counters: Dict[str, Counter], name: str, n: int) -> None:
+    """Add ``n`` to counter ``name`` of ``counters``, creating it."""
+    c = counters.get(name)
+    if c is None:
+        c = counters[name] = Counter()
+    c.value += n
 
 
 class MetricsRegistry(BaseSink):
@@ -234,7 +242,16 @@ class MetricsRegistry(BaseSink):
         ``run_sched_consults`` (one sample per run),
         ``read_choice_fanout`` (legal-set size, one sample per resolved
         weak-memory read).
+
+    Under the fast engine the registry is a run-tally sink
+    (``per_step = False``, see :mod:`repro.obs.hooks`): the step loop
+    counts in locals and :meth:`on_run_tally` folds the counts in.  The
+    ``on_*`` step events stay the path of the reference engine, vector
+    replay and :func:`~repro.obs.journal.replay_journal`, and a fold
+    leaves the registry exactly as those events would.
     """
+
+    per_step = False
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
@@ -296,7 +313,7 @@ class MetricsRegistry(BaseSink):
         if self._unread_write.get(register, False):
             self.counter("register_contention").inc()
         self._unread_write[register] = True
-        depth = _num_depth_of(value)
+        depth = num_depth_of(value)
         if depth is not None:
             self.gauge("max_num_depth").set(depth)
             self.histogram("num_depth").observe(depth)
@@ -314,6 +331,48 @@ class MetricsRegistry(BaseSink):
     def on_step(self, index: int, pid: int, op, result: Hashable,
                 decided: Optional[Hashable]) -> None:
         self.counter("steps").inc()
+
+    def on_run_tally(self, tally: RunTally) -> None:
+        counters = self.counters
+        if tally.sched_consults:
+            _add(counters, "sched_consults", tally.sched_consults)
+        if tally.coin_flips:
+            run_flips = self._run_flips
+            total = 0
+            for pid, flips in tally.coin_flips.items():
+                run_flips[pid] = run_flips.get(pid, 0) + flips
+                total += flips
+            _add(counters, "coin_flips", total)
+        if tally.reads:
+            _add(counters, "reads", tally.reads)
+        unread = self._unread_write
+        if tally.writes:
+            _add(counters, "writes", tally.writes)
+            contention = tally.contention
+            for register in tally.opened:
+                if unread.get(register):
+                    contention += 1
+            if contention:
+                _add(counters, "register_contention", contention)
+        unread.update(tally.unread)
+        if tally.num_depths:
+            gauge = self.gauge("max_num_depth")
+            gauge.set(min(tally.num_depths))
+            gauge.set(max(tally.num_depths))
+            gauge.set(tally.last_num_depth)
+            histogram = self.histogram("num_depth")
+            for depth, count in tally.num_depths.items():
+                histogram.observe(depth, count)
+        if tally.decisions:
+            _add(counters, "decisions", len(tally.decisions))
+            steps_to_decide = self.histogram("steps_to_decide")
+            flips_per_decision = self.histogram("coin_flips_per_decision")
+            run_flips = self._run_flips
+            for pid, activation in tally.decisions:
+                steps_to_decide.observe(activation)
+                flips_per_decision.observe(run_flips.get(pid, 0))
+        if tally.steps:
+            _add(counters, "steps", tally.steps)
 
     def on_run_end(self, result) -> None:
         if getattr(result, "completed", False):

@@ -10,13 +10,16 @@ kernel emits:
                 injected crashes) before a step
 ``step``        one processor step (a :meth:`Simulation.step_processor`
                 execution, or one step of a run)
-``transition``  the protocol-automaton part of a step
-                (``branches`` + ``observe``), a subset of ``step``
-``memory``      weak-memory value resolution inside a step (legal-set
-                computation, adversary consultation, write
-                installation); a subset of ``step``, disjoint from
-                ``transition``, and never emitted under atomic
-                semantics (atomic register access is plain kernel work)
+``transition``  the step's own work outside weak-memory resolution:
+                branch sampling, register access, the automaton
+                transition (``observe``) and decision tracking; a
+                subset of ``step``
+``memory``      weak-memory value resolution inside a step (pending-
+                write commit, legal-set computation, adversary
+                consultation, write installation); a subset of
+                ``step``, disjoint from ``transition``, and never
+                emitted under atomic semantics (atomic register access
+                is transition work)
 
 :meth:`~TimeAttributionProfiler.render_phases` prints that table.  The
 profiler then answers the budgeting question behind it: *which
@@ -29,10 +32,10 @@ folds the phases into five disjoint components:
                 injection, liveness filtering
 ``transition``  the ``transition`` phase
 ``memory``      the ``memory`` phase (zero under atomic semantics)
-``kernel``      the remainder of ``step`` — serialization bookkeeping,
-                register access, decision tracking
-``hooks``       run wall time not inside ``sched`` or ``step`` — hub
-                fan-out, sink work, loop overhead
+``kernel``      the remainder of ``step`` — the per-step event
+                emissions to per-step sinks
+``hooks``       run wall time not inside ``sched`` or ``step`` — run-
+                level hub fan-out, run-tally folds, loop overhead
 
 The components tile the run: their sum equals measured wall time (up to
 clock granularity; negative residuals clamp to zero).  Each profiler

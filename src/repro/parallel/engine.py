@@ -276,7 +276,11 @@ def _warm_imports() -> None:
     ``fork``: a ``spawn`` child re-imports regardless, and warming the
     parent would only load modules it never runs.
     """
-    import repro.core  # noqa: F401
+    import repro.core.n_process  # noqa: F401
+    import repro.core.naive  # noqa: F401
+    import repro.core.three_bounded  # noqa: F401
+    import repro.core.three_unbounded  # noqa: F401
+    import repro.core.two_process  # noqa: F401
     import repro.sched.adversary  # noqa: F401
     import repro.sched.simple  # noqa: F401
     import repro.sim.runner  # noqa: F401

@@ -21,6 +21,8 @@ back to this module.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib
 from typing import Hashable, Tuple
 
 #: Protocol names understood by :class:`ProtocolSpec` (CLI vocabulary).
@@ -29,6 +31,17 @@ PROTOCOL_NAMES = ("two", "three-unbounded", "three-bounded", "n", "naive")
 #: Scheduler names understood by :class:`SchedulerSpec` (CLI vocabulary).
 SCHEDULER_NAMES = ("random", "round-robin", "oblivious", "split-vote",
                    "laggard-freezer", "read-adversary")
+
+
+@functools.lru_cache(maxsize=None)
+def _load(module: str, name: str):
+    """``module.name``, imported on the first call in this process.
+
+    The specs run once per run of a sweep; resolving each class once
+    keeps the per-run cost a memo lookup and loads only the modules a
+    sweep builds from.
+    """
+    return getattr(importlib.import_module(module), name)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,24 +57,21 @@ class ProtocolSpec:
     n_processes: int = 2
 
     def __call__(self):
-        from repro.core import (
-            NaiveProtocol,
-            NProcessProtocol,
-            ThreeBoundedProtocol,
-            ThreeUnboundedProtocol,
-            TwoProcessProtocol,
-        )
-
-        if self.name == "two":
-            return TwoProcessProtocol()
-        if self.name == "three-unbounded":
-            return ThreeUnboundedProtocol()
-        if self.name == "three-bounded":
-            return ThreeBoundedProtocol()
-        if self.name == "n":
-            return NProcessProtocol(self.n_processes)
-        if self.name == "naive":
-            return NaiveProtocol(self.n_processes)
+        name = self.name
+        if name == "two":
+            return _load("repro.core.two_process", "TwoProcessProtocol")()
+        if name == "three-unbounded":
+            return _load("repro.core.three_unbounded",
+                         "ThreeUnboundedProtocol")()
+        if name == "three-bounded":
+            return _load("repro.core.three_bounded",
+                         "ThreeBoundedProtocol")()
+        if name == "n":
+            return _load("repro.core.n_process",
+                         "NProcessProtocol")(self.n_processes)
+        if name == "naive":
+            return _load("repro.core.naive",
+                         "NaiveProtocol")(self.n_processes)
         raise ValueError(f"unknown protocol {self.name!r} "
                          f"(expected one of {PROTOCOL_NAMES})")
 
@@ -78,30 +88,23 @@ class SchedulerSpec:
     name: str
 
     def __call__(self, rng):
-        from repro.sched import (
-            LaggardFreezer,
-            ObliviousScheduler,
-            RandomScheduler,
-            ReadValueAdversary,
-            RoundRobinScheduler,
-            SplitVoteAdversary,
-        )
-
-        if self.name == "random":
-            return RandomScheduler(rng)
-        if self.name == "round-robin":
-            return RoundRobinScheduler()
-        if self.name == "oblivious":
-            return ObliviousScheduler(rng)
-        if self.name == "split-vote":
-            return SplitVoteAdversary()
-        if self.name == "laggard-freezer":
-            return LaggardFreezer()
-        if self.name == "read-adversary":
+        name = self.name
+        if name == "random":
+            return _load("repro.sched.simple", "RandomScheduler")(rng)
+        if name == "round-robin":
+            return _load("repro.sched.simple", "RoundRobinScheduler")()
+        if name == "oblivious":
+            return _load("repro.sched.simple", "ObliviousScheduler")(rng)
+        if name == "split-vote":
+            return _load("repro.sched.adversary", "SplitVoteAdversary")()
+        if name == "laggard-freezer":
+            return _load("repro.sched.adversary", "LaggardFreezer")()
+        if name == "read-adversary":
             # Random activation order plus hostile weak-memory read
             # resolution (a no-op wrapper under atomic semantics).
-            return ReadValueAdversary(RandomScheduler(rng),
-                                      policy="adversarial")
+            return _load("repro.sched.adversary", "ReadValueAdversary")(
+                _load("repro.sched.simple", "RandomScheduler")(rng),
+                policy="adversarial")
         raise ValueError(f"unknown scheduler {self.name!r} "
                          f"(expected one of {SCHEDULER_NAMES})")
 

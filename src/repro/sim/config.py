@@ -29,6 +29,8 @@ class RegisterLayout:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate register names in {names}")
         self._specs: Tuple[RegisterSpec, ...] = tuple(specs)
+        #: Register names in slot order.
+        self.names: Tuple[str, ...] = tuple(names)
         self._index: Dict[str, int] = {spec.name: i for i, spec in enumerate(specs)}
 
     @classmethod

@@ -22,9 +22,10 @@ with exactly one step body:
   transitions through a :class:`~repro.sim.transitions.TransitionCache`,
   and materializes immutable :class:`~repro.sim.config.Configuration`
   snapshots lazily.  Its one loop, :meth:`Simulation._run_fast`, runs
-  bare and observed runs alike (hook emissions, clock reads and trace
-  records sit behind cheap checks) and serves :meth:`Simulation.step`
-  and :meth:`Simulation.step_processor` with a one-step budget;
+  bare and observed runs alike (hook emissions, run tallies, clock
+  reads and trace records sit behind one ``observed`` test) and
+  serves :meth:`Simulation.step` and :meth:`Simulation.step_processor`
+  with a one-step budget;
 * the **reference path** (``engine="reference"``) preserves the original
   kernel verbatim in :meth:`Simulation._step_reference`: an immutable
   configuration rebuilt on every step, a fresh ``protocol.branches()``
@@ -64,7 +65,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.engines import resolve_sim_engine
 from repro.errors import ProtocolError, SimulationError
-from repro.obs.hooks import BaseSink, make_hub
+from repro.obs.hooks import BaseSink, RunTally, split_sinks
 from repro.sim.config import Configuration, RegisterLayout
 from repro.sim.memory import MemoryModel, MemorySpec, memory_spec
 from repro.sim.ops import ReadOp, WriteOp
@@ -287,7 +288,11 @@ class Simulation:
         Observability sinks (see :mod:`repro.obs`) to notify of kernel
         events.  Observed runs take the same step loop as bare ones;
         with no sink attached (the default) the kernel keeps no hub at
-        all and the loop pays only ``is not None`` checks.
+        all.  Under the fast engine, run-tally sinks
+        (``per_step = False``, e.g. a
+        :class:`~repro.obs.metrics.MetricsRegistry`) get each loop
+        call's per-step events as one folded
+        :class:`~repro.obs.hooks.RunTally`.
     engine:
         Backend name from the engine registry (:mod:`repro.engines`):
         ``"fast"`` (the default) or ``"reference"`` — the escape hatch
@@ -314,7 +319,7 @@ class Simulation:
         "crashed", "sched_consults", "read_resolutions", "trace",
         "_fast", "_cache", "_states", "_registers", "_config_cache",
         "_memory", "_mem_atomic", "_read_resolver",
-        "_obs", "_strict", "_rng", "_proc_rngs", "_view",
+        "_hub", "_obs", "_tallies", "_strict", "_rng", "_proc_rngs", "_view",
         "_alive", "_enabled",
     )
 
@@ -395,7 +400,10 @@ class Simulation:
         self.crashed: frozenset = frozenset()
         self.sched_consults = 0
         self.trace: Optional[Trace] = Trace() if record_trace else None
-        self._obs = make_hub(sinks)
+        # ``_hub`` reaches every sink (run-level and cold events),
+        # ``_obs`` the per-step ones; ``_tallies`` holds the fast
+        # engine's run-tally sinks (None when there are none).
+        self._hub, self._obs, self._tallies = split_sinks(sinks, fast)
         self._strict = strict
         self._rng = rng
         self._proc_rngs = rng.children("proc", n)
@@ -476,8 +484,9 @@ class Simulation:
 
     def attach_sink(self, sink: BaseSink) -> None:
         """Attach an observability sink to an already-built simulation."""
-        existing = self._obs.sinks if self._obs is not None else ()
-        self._obs = make_hub(existing + (sink,))
+        existing = self._hub.sinks if self._hub is not None else ()
+        self._hub, self._obs, self._tallies = split_sinks(
+            existing + (sink,), self._fast)
 
     def crash(self, pid: int) -> None:
         """Fail-stop processor ``pid``."""
@@ -487,8 +496,8 @@ class Simulation:
         self.crashed = self.crashed | {pid}
         self._alive = tuple(p for p in self._alive if p != pid)
         self._enabled = tuple(p for p in self._enabled if p != pid)
-        if self._obs is not None:
-            self._obs.crash(pid, self.step_index)
+        if self._hub is not None:
+            self._hub.crash(pid, self.step_index)
         if self.trace is not None:
             self.trace.append_crash(CrashRecord(index=self.step_index, pid=pid))
 
@@ -596,8 +605,8 @@ class Simulation:
                 f"scheduler chose read value {value!r} for register "
                 f"{register!r}, outside the legal set {choices!r}"
             )
-        if self._obs is not None and not self._mem_atomic:
-            self._obs.read_choices(pid, register, len(choices), value)
+        if self._hub is not None and not self._mem_atomic:
+            self._hub.read_choices(pid, register, len(choices), value)
         return value
 
     @staticmethod
@@ -650,7 +659,6 @@ class Simulation:
         op = branch.op
         if timing:
             t_mem = perf_counter()
-            t_trans = t_mem - t_step
 
         if isinstance(op, ReadOp):
             slot = self.layout.check_read(pid, op.register)
@@ -667,8 +675,7 @@ class Simulation:
         else:
             raise ProtocolError(f"unknown operation {op!r}")
         if timing:
-            t1 = perf_counter()
-            t_mem = t1 - t_mem
+            t_mem = perf_counter() - t_mem
         if obs is not None:
             if isinstance(op, ReadOp):
                 obs.read(pid, op.register, result)
@@ -685,8 +692,6 @@ class Simulation:
         self.activations[pid] += 1
 
         decided = self.protocol.output(pid, new_state)
-        if timing:
-            t_trans += perf_counter() - t1
         if decided is not None:
             self._record_decision(pid, decided)
             if obs is not None:
@@ -696,6 +701,10 @@ class Simulation:
                             result=result, decided=decided)
         self.step_index += 1
         if obs is not None:
+            if timing:
+                t_trans = perf_counter() - t_step
+                if not self._mem_atomic:
+                    t_trans -= t_mem
             obs.step(record.index, pid, op, result, decided)
             if timing:
                 if not self._mem_atomic:
@@ -718,13 +727,24 @@ class Simulation:
         allocate a record nothing reads.  Counters the
         :class:`SchedulerView` exposes stay live on ``self``.
 
-        Hook emissions sit behind ``obs is not None``, clock reads
-        behind ``timing`` (a ``wants_timing`` sink is attached) and
-        trace records behind ``trace is not None``.  Emission order is
-        part of the journal schema contract — sched, coin-flip,
+        What observation adds costs a bare run one test per site: the
+        hub-only sites (the sched emission with the scheduler clocks,
+        the coin-flip emission, the weak-memory clocks) test ``obs``,
+        and one ``observed`` test at the end of the step covers hub
+        emissions, phase times, run tallies and trace records.  Clock
+        reads (``timing``) nest inside those tests, so a bare run never
+        reads it.  The bare path also keeps its own checks few: one
+        loop bound (``limit``) stands for the step budget, the
+        consultation budget and the end of the run, and decided or
+        crashed processors are rejected on the branch that seeds a
+        processor's transition entry, the only one they can reach.
+        Emission order
+        is part of the journal schema contract — sched, coin-flip,
         read_choices (from :meth:`_resolve_read`), read/write,
         decision, step — and :func:`repro.obs.journal.replay_journal`
-        re-dispatches in the same order.
+        re-dispatches in the same order.  Run-tally sinks get the
+        call's counts once, on exit (:meth:`_fold_tally`), even when
+        the loop raises.
         """
         n = self.protocol.n_processes
         cache = self._cache
@@ -742,139 +762,236 @@ class Simulation:
         coin_flips = self.coin_flips
         decisions = self.decisions
         obs = self._obs
-        timing = obs is not None and obs.timing
+        tallies = self._tallies
         trace = self.trace
+        # Any sink (per-step or tally) means a hub; or a trace.
+        observed = self._hub is not None or trace is not None
+        timing = obs is not None and obs.timing
         # Each live processor's current transition entry: seeded lazily
         # from its state, then chained through the memoized outcomes'
-        # next-entry pointers — no per-step state hashing.
+        # next-entry pointers — no per-step state hashing.  None until
+        # seeded, and again once the processor decides or crashes.
         cur_entries: List[Optional[object]] = [None] * n
         # step_index/sched_consults are mirrored in locals and written
         # back to self *before* every scheduler consultation, so views
         # always read live values.
         step_index = start = self.step_index
         consults = self.sched_consults
-        crashed = self.crashed
-        t_sched = t_step = t_trans = t_mem = 0.0
+        # A scheduler's pre-committed read value; reset once used.
+        forced = None
+        # The clocks t_sched and t_step are read only under ``timing``,
+        # which also sets them first; t_mem stays 0.0 under atomic memory.
+        t_mem = 0.0
+        if tallies is not None:
+            # Per slot: None (untouched this call), True (written and
+            # not read since) or False (read since the last write).
+            unread: List[Optional[bool]] = [None] * len(registers)
+            opened: List[int] = []
+            num_depths: Dict[int, int] = {}
+            writes = contention = 0
+            last_depth = None
+            base = (consults, list(coin_flips.values()), len(decisions))
 
-        while self._enabled and step_index < max_steps \
-                and consults < max_consults:
-            forced = None
-            if given is None:
-                consults += 1
-                self.sched_consults = consults
-                if obs is not None:
-                    if timing:
-                        t_sched = perf_counter()
-                    obs.sched(consults)
-                action = choose(view)
-                cls = action.__class__
-                if cls is int:
-                    pid = action
-                elif cls is Activate:
-                    pid = action.pid
-                    forced = action.read_value
+        # The loop's one bound.  A consulting step adds one consultation
+        # per step, so the consultation budget is a step limit; only
+        # crash injections (extra consultations) move it.  The last
+        # decision ends the loop by lowering it to the current step.
+        limit = min(max_steps, max_consults - consults + step_index) \
+            if self._enabled else step_index
+        try:
+            while step_index < limit:
+                if given is not None:
+                    pid = given
+                    if obs is not None and timing:
+                        t_step = perf_counter()
                 else:
-                    # Cold branch: crash injections and exotic action types.
-                    pid, forced = self._settle(action, obs)
-                    consults = self.sched_consults
-                    crashed = self.crashed
-                if timing:
-                    t_step = perf_counter()
-                    obs.phase_time("sched", t_step - t_sched)
-                if pid.__class__ is not int or not 0 <= pid < n \
-                        or pid in crashed or pid in decisions:
-                    self._check_active(pid)
-            else:
-                pid = given
-                if timing:
-                    t_step = perf_counter()
-
-            if not atomic:
-                memory.on_activate(pid)
-            entry = cur_entries[pid]
-            if entry is None:
-                state = states[pid]
-                entry = entries.get((pid, state))
-                if entry is None:
-                    entry = build_entry(pid, state)
-            weights = entry.weights
-            if weights is None:
-                branch_index = 0
-            else:
-                branch_index = proc_rngs[pid].choice_index(
-                    weights, entry.total)
-                coin_flips[pid] += 1
-                if obs is not None:
-                    obs.coin_flip(pid, len(weights))
-            op, is_read, slot, value = entry.execs[branch_index]
-            if timing:
-                t_trans = perf_counter() - t_step
-            if atomic:
-                if is_read:
-                    result = registers[slot]
-                else:
-                    registers[slot] = value
-                    result = None
-                if forced is not None:
-                    self._check_forced(forced, is_read, result)
-            else:
-                # The ``memory`` phase: weak-memory value resolution.
-                # Atomic access resolves nothing and counts as kernel
-                # work, so only this branch reads the clock for it.
-                if timing:
-                    t_mem = perf_counter()
-                if is_read:
-                    choices = memory.read_choices(slot)
-                    if len(choices) == 1 and forced is None:
-                        result = choices[0]
+                    consults += 1
+                    self.sched_consults = consults
+                    if obs is not None:
+                        if timing:
+                            t_sched = perf_counter()
+                        obs.sched(consults)
+                        action = choose(view)
+                        if timing:
+                            t_step = perf_counter()
                     else:
-                        result = self._resolve_read(
-                            pid, op.register, choices, forced)
+                        action = choose(view)
+                    cls = action.__class__
+                    if cls is int:
+                        pid = action
+                    else:
+                        if cls is Activate:
+                            pid = action.pid
+                            forced = action.read_value
+                        else:
+                            # Cold branch: crash injections and exotic
+                            # action types, inside the ``sched`` phase.
+                            pid, forced = self._settle(action, obs)
+                            consults = self.sched_consults
+                            limit = min(max_steps, max_consults
+                                        - consults + step_index + 1)
+                            for p in self.crashed:
+                                cur_entries[p] = None
+                            if obs is not None and timing:
+                                t_step = perf_counter()
+                        if pid.__class__ is not int:
+                            self._check_active(pid)
+                    if not 0 <= pid < n:
+                        self._check_active(pid)
+
+                entry = cur_entries[pid]
+                if entry is None:
+                    # The processor's first step in this call, or an
+                    # ineligible one: a decision chains to a None entry
+                    # and a crash resets it, so only this branch checks.
+                    if pid in self.crashed or pid in decisions:
+                        self._check_active(pid)
+                    state = states[pid]
+                    entry = entries.get((pid, state))
+                    if entry is None:
+                        entry = build_entry(pid, state)
+                weights = entry.weights
+                if weights is not None:
+                    branch_index = proc_rngs[pid].choice_index(
+                        weights, entry.total)
+                    coin_flips[pid] += 1
+                    if obs is not None:
+                        obs.coin_flip(pid, len(weights))
                 else:
-                    self._check_forced(forced, False, None)
-                    memory.write(pid, slot, value)
-                    result = None
-                if timing:
-                    t_mem = perf_counter() - t_mem
-            if timing:
-                t1 = perf_counter()
-            outcome = entry.outcomes[branch_index].get(result)
-            if outcome is None:
-                outcome = resolve_outcome(pid, states[pid], entry,
-                                          branch_index, result)
-            states[pid] = outcome[0]
-            cur_entries[pid] = outcome[2]
-            self._config_cache = None
-            activations[pid] += 1
-            if timing:
-                t_trans += perf_counter() - t1
-            step_index += 1
-            self.step_index = step_index
-            decided = outcome[1]
-            if decided is not None:
-                self._record_decision(pid, decided)
-            if obs is not None:
-                if is_read:
-                    obs.read(pid, op.register, result)
+                    branch_index = 0
+                op, is_read, slot, value = entry.execs[branch_index]
+                if not atomic:
+                    # The ``memory`` phase: weak-memory value
+                    # resolution, timed on its own.  Atomic access
+                    # resolves nothing and counts as transition work.
+                    if obs is not None and timing:
+                        t_mem = perf_counter()
+                    memory.on_activate(pid)
+                    if is_read:
+                        choices = memory.read_choices(slot)
+                        if len(choices) == 1 and forced is None:
+                            result = choices[0]
+                        else:
+                            result = self._resolve_read(
+                                pid, op.register, choices, forced)
+                    else:
+                        self._check_forced(forced, False, None)
+                        memory.write(pid, slot, value)
+                        result = None
+                    forced = None
+                    if obs is not None and timing:
+                        t_mem = perf_counter() - t_mem
                 else:
-                    obs.write(pid, op.register, value)
+                    if is_read:
+                        result = registers[slot]
+                    else:
+                        registers[slot] = value
+                        result = None
+                    if forced is not None:
+                        self._check_forced(forced, is_read, result)
+                        forced = None
+                try:
+                    outcome = entry.outcomes[branch_index][result]
+                except KeyError:
+                    outcome = resolve_outcome(pid, states[pid], entry,
+                                              branch_index, result)
+                states[pid] = outcome[0]
+                cur_entries[pid] = outcome[2]
+                self._config_cache = None
+                activations[pid] += 1
+                step_index += 1
+                self.step_index = step_index
+                decided = outcome[1]
                 if decided is not None:
-                    obs.decision(pid, decided, activations[pid])
-                obs.step(step_index - 1, pid, op, result, decided)
-                if timing:
-                    if not atomic:
-                        obs.phase_time("memory", t_mem)
-                    obs.phase_time("transition", t_trans)
-                    obs.phase_time("step", perf_counter() - t_step)
-            if trace is not None:
-                trace.append(StepRecord(index=step_index - 1, pid=pid,
-                                        op=op, result=result,
-                                        decided=decided))
+                    self._record_decision(pid, decided)
+                    if not self._enabled:
+                        limit = step_index
+                if observed:
+                    if obs is not None:
+                        if timing:
+                            # Transition: the step's work outside the
+                            # weak-memory phase (t_mem stays 0.0 under
+                            # atomic semantics).
+                            t_trans = perf_counter() - t_step - t_mem
+                        if is_read:
+                            obs.read(pid, op.register, result)
+                        else:
+                            obs.write(pid, op.register, value)
+                        if decided is not None:
+                            obs.decision(pid, decided, activations[pid])
+                        obs.step(step_index - 1, pid, op, result, decided)
+                        if timing:
+                            if given is None:
+                                obs.phase_time("sched", t_step - t_sched)
+                            if not atomic:
+                                obs.phase_time("memory", t_mem)
+                            obs.phase_time("transition", t_trans)
+                            obs.phase_time("step", perf_counter() - t_step)
+                    if tallies is not None:
+                        if is_read:
+                            unread[slot] = False
+                        else:
+                            writes += 1
+                            flag = unread[slot]
+                            if flag:
+                                contention += 1
+                            elif flag is None:
+                                opened.append(slot)
+                            unread[slot] = True
+                            depth = entry.depths[branch_index]
+                            if depth is not None:
+                                num_depths[depth] = \
+                                    num_depths.get(depth, 0) + 1
+                                last_depth = depth
+                    if trace is not None:
+                        trace.append(StepRecord(
+                            index=step_index - 1, pid=pid, op=op,
+                            result=result, decided=decided))
+        finally:
+            if tallies is not None:
+                self._fold_tally(tallies, base, step_index - start,
+                                 writes, contention, opened, unread,
+                                 num_depths, last_depth)
 
         if step_index == start + 1 == max_steps:
             return StepRecord(index=start, pid=pid, op=op, result=result,
                               decided=decided)
         return None
+
+    def _fold_tally(self, tallies, base, steps: int, writes: int,
+                    contention: int, opened: List[int],
+                    unread: List[Optional[bool]],
+                    num_depths: Dict[int, int],
+                    last_depth: Optional[int]) -> None:
+        """Deliver one :meth:`_run_fast` call's counts to the run-tally
+        sinks.  ``base`` is the consultation count, per-pid coin flips
+        and decision count the call started from."""
+        consults0, flips0, decided0 = base
+        names = self.layout.names
+        flips = {}
+        for pid, count in enumerate(self.coin_flips.values()):
+            if count != flips0[pid]:
+                flips[pid] = count - flips0[pid]
+        decisions = self.decisions
+        if len(decisions) > decided0:
+            activation = self.decision_activation
+            decided = [(pid, activation[pid])
+                       for pid in list(decisions)[decided0:]]
+        else:
+            decided = []
+        touched = {}
+        for slot, flag in enumerate(unread):
+            if flag is not None:
+                touched[names[slot]] = flag
+        tally = RunTally(
+            steps=steps, sched_consults=self.sched_consults - consults0,
+            reads=steps - writes, writes=writes, coin_flips=flips,
+            decisions=decided, contention=contention,
+            opened=tuple([names[slot] for slot in opened]),
+            unread=touched, num_depths=num_depths,
+            last_num_depth=last_depth)
+        for sink in tallies:
+            sink.on_run_tally(tally)
 
     def run(self, max_steps: int,
             max_consults: Optional[int] = None) -> RunResult:
@@ -893,9 +1010,9 @@ class Simulation:
         """
         if max_consults is None:
             max_consults = max_steps + self.protocol.n_processes
-        obs = self._obs
-        if obs is not None:
-            obs.run_start(self.protocol.name, self.protocol.n_processes,
+        hub = self._hub
+        if hub is not None:
+            hub.run_start(self.protocol.name, self.protocol.n_processes,
                           self.inputs)
         if self._fast:
             self._run_fast(max_steps, max_consults)
@@ -904,8 +1021,8 @@ class Simulation:
                    and self.sched_consults < max_consults):
                 self.step()
         result = self.result()
-        if obs is not None:
-            obs.run_end(result)
+        if hub is not None:
+            hub.run_end(result)
         return result
 
     def result(self) -> RunResult:

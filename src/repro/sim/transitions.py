@@ -18,7 +18,9 @@ transitions.
 * per-branch execution plans ``(op, is_read, slot, write_value)`` with
   the access-control check already performed,
 * per-branch outcome tables mapping the operation result (the value
-  read; ``None`` for writes) to ``(new_state, decided)``.
+  read; ``None`` for writes) to ``(new_state, decided)``,
+* the ``num`` depth of each write branch's value, which a metrics
+  run tally counts (:mod:`repro.obs.metrics`).
 
 **Contract.**  Memoization is sound only for automata that follow the
 :class:`~repro.sim.process.Automaton` contract:
@@ -57,6 +59,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.errors import ProtocolError
+from repro.obs.metrics import num_depth_of
 from repro.sim.config import RegisterLayout
 from repro.sim.ops import ReadOp, WriteOp
 from repro.sim.process import Automaton
@@ -76,16 +79,21 @@ class CachedTransition:
     for it — ``next_entry`` is the successor state's own
     :class:`CachedTransition` (``None`` once decided), letting the
     kernel's inner loop follow transitions pointer-to-pointer instead
-    of re-hashing the state every step.
+    of re-hashing the state every step.  ``depths[i]`` is the ``num``
+    depth of branch *i*'s written value (``None`` for reads and for
+    values without one).
     """
 
-    __slots__ = ("branches", "weights", "total", "execs", "outcomes")
+    __slots__ = ("branches", "weights", "total", "execs", "depths",
+                 "outcomes")
 
     def __init__(self, branches, weights, total, execs) -> None:
         self.branches = branches
         self.weights = weights
         self.total = total
         self.execs = execs
+        self.depths = tuple(None if is_read else num_depth_of(value)
+                            for _, is_read, _, value in execs)
         self.outcomes: Tuple[Dict[Hashable, tuple], ...] = tuple(
             {} for _ in branches
         )

@@ -25,8 +25,8 @@ from repro.errors import (
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-LAZY_PACKAGES = ("repro", "repro.obs", "repro.sched", "repro.ir",
-                 "repro.parallel")
+LAZY_PACKAGES = ("repro", "repro.core", "repro.obs", "repro.sched",
+                 "repro.ir", "repro.parallel")
 
 # Where the re-exported values that carry no ``__module__`` are defined.
 CONSTANT_HOMES = {
@@ -48,6 +48,11 @@ REPORT_FORBIDDEN = ("numpy", "repro.checker", "repro.ir", "repro.store",
                     "multiprocessing")
 VERIFY_FORBIDDEN = ("numpy", "repro.ir.vector", "repro.ir.mt",
                     "repro.store", "multiprocessing")
+#: The protocol modules a ``--protocol two`` sweep never runs.
+NOT_TWO_PROTOCOLS = ("repro.core.three_unbounded",
+                     "repro.core.three_bounded", "repro.core.n_process",
+                     "repro.core.naive", "repro.core.multivalued",
+                     "repro.core.deterministic")
 
 
 def _loaded_modules(code: str) -> set:
@@ -121,9 +126,11 @@ class TestPublicApi:
 
     @pytest.mark.parametrize("args, forbidden", [
         (["report", "--runs", "1", "--workers", "1"], REPORT_FORBIDDEN),
+        (["report", "--protocol", "two", "--runs", "1", "--workers", "1"],
+         NOT_TWO_PROTOCOLS),
         (["verify", "--engine", "fingerprints", "--max-states", "1"],
          VERIFY_FORBIDDEN),
-    ], ids=["report", "verify-fingerprints"])
+    ], ids=["report", "report-two-protocol-only", "verify-fingerprints"])
     def test_unit_command_import_budget(self, args, forbidden):
         loaded = _loaded_modules(
             f"from repro.cli import main\nmain({args!r})")

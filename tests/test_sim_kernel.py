@@ -7,7 +7,9 @@ import pytest
 from repro.core.two_process import TwoProcessProtocol
 from repro.core.naive import NaiveProtocol
 from repro.errors import AccessViolation, SimulationError
-from repro.sched.simple import FixedScheduler, RoundRobinScheduler
+from repro.sched.crash import CrashingScheduler, CrashPlan
+from repro.sched.simple import (FixedScheduler, RandomScheduler,
+                                RoundRobinScheduler)
 from repro.sim.kernel import Activate, Crash, Simulation
 from repro.sim.ops import BOTTOM, ReadOp, WriteOp
 from repro.sim.rng import ReplayableRng
@@ -131,6 +133,30 @@ class TestCrashes:
         assert result.decisions == {0: "a"}
         assert result.completed
 
+    @pytest.mark.parametrize("max_consults", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("protocol, inputs", [
+        (TwoProcessProtocol, ("a", "b")),
+        (lambda: NaiveProtocol(3), ("a", "b", "a")),
+    ])
+    def test_consult_budget_counts_injected_crashes(self, protocol, inputs,
+                                                    max_consults):
+        # A crash spends a consultation but no step, so the consultation
+        # budget binds before the step budget; both engines stop at it.
+        results = {}
+        for engine in ("fast", "reference"):
+            rng = ReplayableRng(3)
+            scheduler = CrashingScheduler(RandomScheduler(rng.child("s")),
+                                          CrashPlan(at_step={1: 1}))
+            sim = Simulation(protocol(), inputs, scheduler, rng.child("k"),
+                             engine=engine)
+            results[engine] = sim.run(100, max_consults=max_consults)
+        fast, reference = results["fast"], results["reference"]
+        assert fast == reference
+        assert fast.crashed == frozenset({1})
+        assert fast.total_steps == fast.sched_consults - 1
+        assert fast.completed \
+            or fast.sched_consults == max(max_consults, 3)
+
 
 class TestValidation:
     def test_invalid_pid_rejected(self):
@@ -250,6 +276,53 @@ class TestSchedulerActionNormalization:
 
         protocol = TwoProcessProtocol()
         sim = Simulation(protocol, ("a", "b"), OutOfRange(),
+                         ReplayableRng(0), engine=engine)
+        with pytest.raises(SimulationError, match="invalid processor id"):
+            sim.run(10)
+
+    @pytest.mark.parametrize("bare_int", [True, False])
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_decided_processor_rejected(self, engine, bare_int):
+        # P0 decides on its second step (write, read bottom); a third
+        # activation of P0 — within the same run() call — is a bug.
+        class KeepsActivatingP0:
+            def choose(self, view):
+                return 0 if bare_int else Activate(0)
+
+        sim = Simulation(TwoProcessProtocol(), ("a", "b"),
+                         KeepsActivatingP0(), ReplayableRng(0),
+                         engine=engine)
+        with pytest.raises(SimulationError,
+                           match="scheduled decided processor 0"):
+            sim.run(10)
+        assert sim.decisions == {0: "a"}
+        assert sim.step_index == 2
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_processor_crashed_mid_run_rejected(self, engine):
+        # P1 steps, is crashed by the scheduler, then activated again,
+        # all within one run() call.
+        script = iter([1, Crash(1), 1])
+
+        class CrashThenActivate:
+            def choose(self, view):
+                return next(script)
+
+        sim = Simulation(TwoProcessProtocol(), ("a", "b"),
+                         CrashThenActivate(), ReplayableRng(0),
+                         engine=engine)
+        with pytest.raises(SimulationError,
+                           match="scheduled crashed processor 1"):
+            sim.run(10)
+        assert sim.step_index == 1
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_activate_with_non_int_pid_rejected(self, engine):
+        class StringPid:
+            def choose(self, view):
+                return Activate("p0")
+
+        sim = Simulation(TwoProcessProtocol(), ("a", "b"), StringPid(),
                          ReplayableRng(0), engine=engine)
         with pytest.raises(SimulationError, match="invalid processor id"):
             sim.run(10)
