@@ -17,14 +17,14 @@ recorded in ``BENCH_parallel.json`` for the perf trajectory.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 
 from conftest import dump_bench
 from repro.analysis.reporting import record_batch
 from repro.obs import MetricsRegistry
-from repro.parallel import ConstantInputs, ProtocolSpec, SchedulerSpec
+from repro.parallel import (ConstantInputs, ProtocolSpec, SchedulerSpec,
+                            default_start_method)
 from repro.sim.runner import ExperimentRunner
 
 N_RUNS = 12_000
@@ -43,12 +43,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def pick_context() -> str:
-    """Fastest available start method (what a perf-minded caller picks)."""
-    return ("fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
-
-
 def make_runner(registry=None):
     return ExperimentRunner(
         protocol_factory=ProtocolSpec("two", 2),
@@ -61,7 +55,7 @@ def make_runner(registry=None):
 
 def test_bench_parallel_speedup_and_exactness(benchmark, report, tmp_path):
     cpus = usable_cpus()
-    mp_context = pick_context()
+    mp_context = default_start_method()
     make_runner().run_many(500, max_steps=MAX_STEPS)  # warmup
 
     def run_both():

@@ -26,13 +26,13 @@ first attempt, retried with near-zero backoff.
 
 from __future__ import annotations
 
-import multiprocessing
 from time import perf_counter
 
 from conftest import dump_bench
 from repro.analysis.reporting import ExperimentRecord
 from repro.faults import FaultAction, FaultPlan
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel.engine import default_start_method
 from repro.parallel.tasks import ConstantInputs, ProtocolSpec, SchedulerSpec
 from repro.parallel.supervisor import SupervisorPolicy
 from repro.sim.runner import ExperimentRunner
@@ -49,8 +49,7 @@ MAX_OVERHEAD = 1.05
 
 INPUTS = ("a", "b", "b")
 
-MP = "fork" if "fork" in multiprocessing.get_all_start_methods() \
-    else "spawn"
+MP = default_start_method()
 
 
 def make_runner():

@@ -38,6 +38,7 @@ _EXPORTS = {
         "BatchSpec",
         "ShardResult",
         "ShardTask",
+        "default_start_method",
         "plan_shards",
         "run_parallel",
         "shard_journal_path",

@@ -42,10 +42,14 @@ JSONL journal shard).  The merge step is deterministic:
 Shards that leave the process need picklable task specs (the engine
 checks up front and raises a descriptive error otherwise): use
 module-level factory functions or the spec classes in
-:mod:`repro.parallel.tasks`.  The default start method is ``spawn`` —
-the only method that is safe on every platform — so workers re-import
-the library rather than inheriting interpreter state.  On POSIX hosts
-``mp_context="fork"`` skips the per-worker interpreter start-up.
+:mod:`repro.parallel.tasks`.  A sweep that names no start method uses
+:func:`default_start_method`: ``fork`` on a single-threaded Linux
+process, so workers inherit the parent's loaded modules and skip the
+interpreter start-up, and ``spawn`` everywhere else, the portable
+method, under which workers re-import the library.  Either way a
+worker only reads what it inherits: it talks to the parent over its
+own pipe and writes only its own shard journal, so results are the
+same under both methods.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ import dataclasses
 import math
 import os
 import pickle
+import sys
 import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -265,25 +270,47 @@ def _check_picklable(spec: BatchSpec) -> None:
         ) from exc
 
 
-def _warm_imports() -> None:
-    """Pre-import the simulation stack before forking workers.
+def default_start_method() -> str:
+    """The ``multiprocessing`` start method of a sweep that names none.
 
-    The factory specs in :mod:`repro.parallel.tasks` import lazily on
-    first call, so a worker's first shard pays the import of the
-    protocols, schedulers and runner.  Under the ``fork`` start method
-    children inherit the parent's loaded modules, so importing here
-    once makes every forked worker start warm.  It is called only for
-    ``fork``: a ``spawn`` child re-imports regardless, and warming the
-    parent would only load modules it never runs.
+    ``"fork"`` when ``multiprocessing`` offers it, the platform is
+    Linux and the calling process runs no other thread; ``"spawn"``
+    otherwise.  A forked child copies only the forking thread, so a
+    lock another thread holds (logging's, an allocator's) would stay
+    locked in the worker forever; with one thread there is no such
+    lock.  macOS offers ``fork`` but its system libraries are not
+    fork-safe, which is why it is Linux only.  ``forkserver`` is never
+    picked: its workers are children of the server process, so their
+    CPU time would not count towards the command that ran the sweep.
     """
-    import repro.core.n_process  # noqa: F401
-    import repro.core.naive  # noqa: F401
-    import repro.core.three_bounded  # noqa: F401
-    import repro.core.three_unbounded  # noqa: F401
-    import repro.core.two_process  # noqa: F401
-    import repro.sched.adversary  # noqa: F401
-    import repro.sched.simple  # noqa: F401
-    import repro.sim.runner  # noqa: F401
+    import multiprocessing
+    import threading
+
+    if (sys.platform.startswith("linux")
+            and "fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1):
+        return "fork"
+    return "spawn"
+
+
+def _warm_spec(spec: BatchSpec) -> None:
+    """Build what ``spec`` builds once, before forking its workers.
+
+    Forked workers inherit the parent's loaded modules, so loading here
+    the runner and whatever the spec's protocol and scheduler factories
+    import (the same throwaway probe ``ExperimentRunner`` makes for the
+    vector kernel) lets every worker start warm, holding only the
+    modules this sweep runs.  A factory that raises is left for the
+    shard to report, under the sweep's fault policy.
+    """
+    from repro.sim.rng import ReplayableRng
+
+    try:
+        _spec_runner(spec)
+        spec.protocol_factory()
+        spec.scheduler_factory(ReplayableRng(spec.seed).child("sched-probe"))
+    except Exception:  # noqa: BLE001 - the worker raises it again
+        pass
 
 
 def _shard_payload(task: ShardTask, result: ShardResult):
@@ -435,7 +462,7 @@ def run_parallel(
     journal_path: Optional[str] = None,
     telemetry_path: Optional[str] = None,
     registry: Optional[MetricsRegistry] = None,
-    mp_context: str = "spawn",
+    mp_context: Optional[str] = None,
     store=None,
     policy: Optional[SupervisorPolicy] = None,
     fault_plan=None,
@@ -466,8 +493,11 @@ def run_parallel(
         repeats of the same seeded sweep even though the returned stats
         do not.
     mp_context:
-        ``multiprocessing`` start method.  ``"spawn"`` (default) works
-        everywhere; ``"fork"`` is faster where available.
+        ``multiprocessing`` start method of the worker processes.
+        ``None`` (default) picks :func:`default_start_method`:
+        ``"fork"`` on a single-threaded Linux process, ``"spawn"``
+        elsewhere.  An explicit name always wins.  Results are
+        identical under every method.
     store:
         Optional :class:`~repro.store.RunStore`.  Shards already
         committed under this sweep's content address ``(spec_hash,
@@ -518,8 +548,6 @@ def run_parallel(
                 f"MetricsRegistry and pass journal_path= for journals, "
                 f"or run with workers=1")
         _check_picklable(spec)
-        if mp_context == "fork":
-            _warm_imports()
     supervised = policy is not None
     policy = policy or _UNSUPERVISED
     report = FaultReport()
@@ -662,8 +690,11 @@ def run_parallel(
         elif jobs:
             import multiprocessing
 
+            method = mp_context or default_start_method()
+            if method == "fork":
+                _warm_spec(spec)
             _run_on_workers(jobs, workers,
-                            multiprocessing.get_context(mp_context),
+                            multiprocessing.get_context(method),
                             policy, plan, make_task, on_done, on_fault,
                             append)
     finally:

@@ -450,7 +450,7 @@ class ExperimentRunner:
         shard_size: Optional[int] = None,
         journal_path: Optional[str] = None,
         telemetry_path: Optional[str] = None,
-        mp_context: str = "spawn",
+        mp_context: Optional[str] = None,
         store: Optional["RunStore"] = None,
         supervise: bool = False,
         policy: Optional["SupervisorPolicy"] = None,
@@ -479,6 +479,14 @@ class ExperimentRunner:
         instead of attaching a :class:`JsonlJournal` sink.  A shard
         that faults there aborts the batch with
         :class:`~repro.parallel.supervisor.SupervisorError`.
+
+        ``mp_context`` names the workers' ``multiprocessing`` start
+        method.  ``None`` (default) resolves through
+        :func:`repro.parallel.engine.default_start_method`: ``"fork"``
+        on a single-threaded Linux process, so workers start with the
+        caller's modules already loaded, and ``"spawn"`` elsewhere.
+        Scripts should still guard their entry point with
+        ``if __name__ == "__main__":`` for the spawn fallback.
 
         ``journal_path`` streams a batch-spanning JSONL journal to that
         path in either mode; the finished path and its event count are

@@ -156,6 +156,25 @@ class TestPublicApi:
         assert "repro.sim.runner" in loaded
         assert sorted(loaded & set(REPORT_FORBIDDEN)) == []
 
+    def test_supervised_store_sweep_import_budget(self, tmp_path):
+        # A cold pass forks workers from a parent warmed with exactly
+        # the modules the spec builds; a warm pass, served wholly from
+        # the store, starts no worker and builds no protocol.
+        from repro.parallel.engine import default_start_method
+
+        args = ["report", "--protocol", "two", "--runs", "40",
+                "--shard-size", "10", "--workers", "2", "--supervised",
+                "--store", str(tmp_path / "runs.store"),
+                "--journal", str(tmp_path / "batch.jsonl")]
+        code = f"from repro.cli import main\nmain({args!r})"
+        cold, warm = _loaded_modules(code), _loaded_modules(code)
+        assert sorted(cold & set(NOT_TWO_PROTOCOLS)) == []
+        if default_start_method() == "fork":
+            assert "repro.core.two_process" in cold
+        unused = NOT_TWO_PROTOCOLS + ("repro.core.two_process",
+                                      "multiprocessing")
+        assert sorted(warm & set(unused)) == []
+
     def test_subpackages_importable(self):
         import repro.apps
         import repro.analysis

@@ -3,15 +3,20 @@
 The executor's contract is exact: a sharded batch must be
 *bit-identical* to the serial batch with the same root seed — same
 `RunStats` list, same merged metrics snapshot, same journal bytes — at
-any worker count and shard size.  These tests pay for a handful of real
-`spawn` workers (the portable start method) and assert that equality
-end to end, plus worker reuse, the planner's partition properties and
-the descriptive failure modes.
+any worker count and shard size, and under every start method.  These
+tests pay for a handful of real workers, under the default start method
+and explicitly under both `fork` and the portable `spawn`, and assert
+that equality end to end, plus the start-method rule, worker reuse, the
+planner's partition properties and the descriptive failure modes.
 """
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import os
+import sys
+import threading
 
 import pytest
 
@@ -25,14 +30,20 @@ from repro.parallel import (
     SchedulerSpec,
     SupervisorError,
     SupervisorPolicy,
+    default_start_method,
     plan_shards,
     run_parallel,
 )
 from repro.sim.runner import ExperimentRunner
+from repro.store import RunStore
 
 N_RUNS = 80
 MAX_STEPS = 4000
 SEED = 1234
+
+#: The start methods this host offers, of the two the engine uses.
+START_METHODS = [m for m in ("spawn", "fork")
+                 if m in multiprocessing.get_all_start_methods()]
 
 
 def make_two_process_protocol():
@@ -71,8 +82,8 @@ def make_runner(registry=None, seed=SEED):
 
 @pytest.fixture
 def worker_starts(monkeypatch):
-    """Every process the ``spawn`` context starts, in start order."""
-    process = multiprocessing.get_context("spawn").Process
+    """Every process the default start method starts, in start order."""
+    process = multiprocessing.get_context(default_start_method()).Process
     started = []
     original = process.start
 
@@ -93,13 +104,18 @@ def serial(tmp_path_factory):
     return stats, reg
 
 
-@pytest.fixture(scope="module")
-def parallel(tmp_path_factory):
+def sharded_batch(tmp_path_factory, mp_context=None):
     path = str(tmp_path_factory.mktemp("parallel") / "batch.jsonl")
     reg = MetricsRegistry()
     stats = make_runner(reg).run_many(N_RUNS, max_steps=MAX_STEPS,
-                                      workers=2, journal_path=path)
+                                      workers=2, journal_path=path,
+                                      mp_context=mp_context)
     return stats, reg
+
+
+@pytest.fixture(scope="module")
+def parallel(tmp_path_factory):
+    return sharded_batch(tmp_path_factory)
 
 
 class TestPlanShards:
@@ -192,6 +208,90 @@ class TestBitIdenticalMerge:
 
         assert (runner(2).run_many(6, max_steps=MAX_STEPS, workers=2).runs
                 == runner(1).run_many(6, max_steps=MAX_STEPS).runs)
+
+
+class TestStartMethods:
+    """``fork`` where it is safe, ``spawn`` elsewhere; the same results
+    under both."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or "fork" not in START_METHODS,
+                        reason="fork is the default on Linux only")
+    def test_single_threaded_linux_forks(self):
+        assert threading.active_count() == 1
+        assert default_start_method() == "fork"
+
+    def test_a_second_thread_means_spawn(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert default_start_method() == "spawn"
+        finally:
+            release.set()
+            thread.join()
+
+    def test_no_fork_means_spawn(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        assert default_start_method() == "spawn"
+
+    def test_macos_means_spawn(self, monkeypatch):
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert default_start_method() == "spawn"
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_bit_identical_to_serial(self, serial, method,
+                                     tmp_path_factory):
+        s_stats, s_reg = serial
+        p_stats, p_reg = sharded_batch(tmp_path_factory, method)
+        assert p_stats.runs == s_stats.runs
+        assert p_reg.to_dict() == s_reg.to_dict()
+        with open(s_stats.journal_path, "rb") as a, \
+                open(p_stats.journal_path, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_forked_workers_leave_inherited_state_alone(self, tmp_path):
+        # A supervised sweep whose crash forks a replacement worker
+        # mid-sweep, after the parent has written telemetry and
+        # committed shards: every artifact must equal the spawn one's.
+        if "fork" not in START_METHODS:
+            pytest.skip("no fork on this host")
+
+        def sweep(method):
+            root = tmp_path / method
+            reg = MetricsRegistry()
+            stats = make_runner(reg).run_many(
+                N_RUNS, max_steps=MAX_STEPS, workers=2, shard_size=10,
+                journal_path=str(root / "batch.jsonl"),
+                telemetry_path=str(root / "telemetry.jsonl"),
+                store=RunStore(str(root / "store")), mp_context=method,
+                policy=SupervisorPolicy(backoff_base=0.001,
+                                        backoff_cap=0.002),
+                fault_plan=FaultPlan.build({(4, 0): FaultAction("crash")}))
+            with open(root / "telemetry.jsonl") as fh:
+                lines = fh.read().splitlines(keepends=True)
+            assert all(line.endswith("\n") for line in lines)
+            wall_clock = ("elapsed_s", "steps_per_s", "eta_s")
+            telemetry = sorted(
+                json.dumps({k: v for k, v in json.loads(line).items()
+                            if k not in wall_clock}, sort_keys=True)
+                for line in lines)
+            store = {}
+            for dirpath, _, files in os.walk(root / "store"):
+                for name in files:
+                    path = os.path.join(dirpath, name)
+                    with open(path, "rb") as fh:
+                        store[os.path.relpath(path, root)] = fh.read()
+            with open(stats.journal_path, "rb") as fh:
+                journal = fh.read()
+            return dict(runs=stats.runs, metrics=reg.to_dict(),
+                        journal=journal, telemetry=telemetry, store=store,
+                        faults=stats.faults.events)
+
+        forked = sweep("fork")
+        assert [e.kind for e in forked["faults"]] == ["crash"]
+        assert forked == sweep("spawn")
 
 
 class TestWorkerReuse:

@@ -22,7 +22,6 @@ path lives in tests/test_parallel.py and the crash-kill test.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 import pytest
@@ -31,7 +30,8 @@ from repro.faults import FaultAction, FaultPlan
 from repro.obs import MetricsRegistry
 from repro.parallel import (BatchSpec, ConstantInputs, ProtocolSpec,
                             SchedulerSpec, SupervisorError,
-                            SupervisorPolicy, run_supervised)
+                            SupervisorPolicy, default_start_method,
+                            run_supervised)
 from repro.sim.runner import ExperimentRunner
 from repro.store import RunStore
 
@@ -39,8 +39,7 @@ N_RUNS = 40
 MAX_STEPS = 400
 SEED = 321
 
-MP = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-      else "spawn")
+MP = default_start_method()
 
 #: Fast, deterministic backoff for tests (the schedule, not the wait,
 #: is what the suite verifies).
