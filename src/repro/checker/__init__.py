@@ -19,9 +19,14 @@ Three layers, all operating on the explicit automaton formalism:
   ``regular``/``safe`` register semantics (the HHT-style separation).
 * :mod:`repro.checker.statespace` (+ :mod:`~repro.checker.fingerprint`,
   :mod:`~repro.checker.reduction`) — the scalable engine: fingerprinted
-  table-IR BFS with verified symmetry canonicalization, sleep-set
-  partial-order reduction, and a sharded parallel frontier
-  (docs/CHECKER.md).
+  table-IR BFS with verified symmetry canonicalization and sleep-set
+  partial-order reduction (docs/CHECKER.md).
+
+Two checker engines, one job each: ``objects`` (:func:`explore`) is the
+only path that materializes a :class:`ConfigGraph`, which valency/FLP,
+``solve_game`` and the weak-memory witnesses consume; ``fingerprints``
+(:func:`explore_fast`) is the only scalable search, and it always runs
+in the calling process.
 """
 
 from repro.checker.explorer import ConfigGraph, Successor, explore, successors

@@ -235,209 +235,6 @@ class ConfigGraph:
                 yield config
 
 
-def _explore_tables(
-    protocol: Automaton,
-    inputs: Sequence[Hashable],
-    max_depth: Optional[int],
-    max_states: int,
-    on_node: Optional[Callable[[Configuration, int], None]],
-    spec,
-    tracer,
-) -> ConfigGraph:
-    """BFS over compiled integer tables (``explore(engine="tables")``).
-
-    Configurations are explored as ``(state-id tuple, register-vid
-    tuple, pending-write triples)`` keys — interned integers instead of
-    rich state objects — and decoded back to object-level
-    :class:`Configuration` on first visit, so the returned graph is
-    *identical* (same nodes, same edge order, same :class:`Successor`
-    fields) to the object-path BFS while hashing and successor
-    generation run over plain ints.  Compilation stays lazy: only
-    states some reachable configuration actually contains are ever
-    lowered.  Weak memory lowers the adversary's read fan-out into the
-    per-value read-outcome cells of the tables: a contended read emits
-    one edge per legal value — the committed value, each pending value
-    in writer order, and (``safe`` only, under contention) the slot's
-    initial value — matching :func:`_weak_successors` choice for
-    choice (docs/IR.md §6, docs/CHECKER.md).  The only genuinely
-    unsupported protocols are those the IR itself refuses: non-register
-    operations (:class:`~repro.ir.lower.IRUnsupportedError`) and
-    unbounded state spaces that blow the interning budget
-    (:class:`~repro.ir.lower.IRCompileError`).
-    """
-    from repro.ir import compile_protocol
-
-    t0 = _perf_counter() if tracer is not None else 0.0
-    weak = not spec.atomic
-    safe_mem = spec.name == "safe"
-    # strict=False mirrors the object path's TransitionCache(strict=
-    # False): the explorer has never validated branch distributions.
-    cp = compile_protocol(protocol, strict=False)
-    layout = cp.layout
-    n = cp.n_processes
-    root_key = (tuple(cp.initial_sids(tuple(inputs))),
-                tuple(cp.init_regs), ())
-    decoded: Dict[Tuple, Configuration] = {}
-
-    def config_of(key: Tuple) -> Configuration:
-        config = decoded.get(key)
-        if config is None:
-            config = decoded[key] = cp.decode_configuration(
-                key[0], key[1], key[2])
-        return config
-
-    def succ_of(key: Tuple) -> Tuple[Successor, ...]:
-        sids, regs, pend = key
-        out: List[Successor] = []
-        for pid in range(n):
-            sid = sids[pid]
-            if cp.state_out[sid] >= 0:
-                continue
-            if cp.state_nb[sid] < 0:
-                cp.ensure_compiled(sid)
-            if weak:
-                # Commit pid's pending write (the on_activate step).
-                base_regs, base_pend = regs, pend
-                for i, entry in enumerate(pend):
-                    if entry[0] == pid:
-                        base_regs = regs[:entry[1]] + (entry[2],) \
-                            + regs[entry[1] + 1:]
-                        base_pend = pend[:i] + pend[i + 1:]
-                        break
-            else:
-                base_regs, base_pend = regs, pend
-            base = cp.state_base[sid]
-            for b in range(base, base + cp.state_nb[sid]):
-                slot = cp.br_slot[b]
-                if cp.br_is_read[b]:
-                    if weak:
-                        # read_choices order: committed value, pending
-                        # values in writer order (pend is
-                        # writer-sorted) deduplicated, then — safe
-                        # only, under contention — the initial value.
-                        choices = [base_regs[slot]]
-                        contended = False
-                        for w_, s_, v_ in base_pend:
-                            if s_ == slot:
-                                contended = True
-                                if v_ not in choices:
-                                    choices.append(v_)
-                        if safe_mem and contended:
-                            garbage = cp.init_regs[slot]
-                            if garbage not in choices:
-                                choices.append(garbage)
-                    else:
-                        choices = [base_regs[slot]]
-                    for rv in choices:
-                        nxt = cp.br_read_out[b].get(rv)
-                        if nxt is None:
-                            nxt = cp.read_outcome(b, rv)
-                        nkey = (sids[:pid] + (nxt,) + sids[pid + 1:],
-                                base_regs, base_pend)
-                        out.append(Successor(
-                            pid=pid, probability=cp.br_prob[b],
-                            op=cp.br_op[b], config=config_of(nkey),
-                            result=cp.values[rv],
-                        ))
-                else:
-                    nxt = cp.br_write_next[b]
-                    if weak:
-                        # The write lands pending, not committed.
-                        new_regs = base_regs
-                        new_pend = tuple(sorted(
-                            base_pend + ((pid, slot, cp.br_write[b]),)))
-                    else:
-                        new_regs = base_regs[:slot] + (cp.br_write[b],) \
-                            + base_regs[slot + 1:]
-                        new_pend = base_pend
-                    nkey = (sids[:pid] + (nxt,) + sids[pid + 1:],
-                            new_regs, new_pend)
-                    out.append(Successor(
-                        pid=pid, probability=cp.br_prob[b],
-                        op=cp.br_op[b], config=config_of(nkey),
-                        result=None,
-                    ))
-        return tuple(out)
-
-    depth_of_key: Dict[Tuple, int] = {root_key: 0}
-    edges: Dict[Configuration, Tuple[Successor, ...]] = {}
-    depth_of: Dict[Configuration, int] = {config_of(root_key): 0}
-    frontier: List[Configuration] = []
-    complete = True
-    queue = collections.deque([root_key])
-
-    if on_node is not None:
-        on_node(config_of(root_key), 0)
-
-    while queue:
-        key = queue.popleft()
-        depth = depth_of_key[key]
-        config = config_of(key)
-        if max_depth is not None and depth >= max_depth:
-            if succ_of(key):
-                frontier.append(config)
-                complete = False
-            else:
-                edges[config] = ()
-            continue
-        succ = succ_of(key)
-        edges[config] = succ
-        sids, regs, _pend = key
-        for s in succ:
-            if weak:
-                skey = cp.encode_configuration(s.config)
-            else:
-                skey = ((sids[:s.pid]
-                         + (cp.intern_state(s.pid,
-                                            s.config.states[s.pid]),)
-                         + sids[s.pid + 1:]),
-                        tuple(cp.intern_value(v)
-                              for v in s.config.registers),
-                        ())
-            if skey not in depth_of_key:
-                if len(depth_of_key) >= max_states:
-                    complete = False
-                    frontier.append(config)
-                    break
-                depth_of_key[skey] = depth + 1
-                depth_of[s.config] = depth + 1
-                if on_node is not None:
-                    on_node(s.config, depth + 1)
-                queue.append(skey)
-        else:
-            continue
-        break  # state budget exhausted: stop expanding
-
-    for key in queue:
-        config = config_of(key)
-        if config not in edges:
-            frontier.append(config)
-            if succ_of(key):
-                complete = False
-
-    graph = ConfigGraph(
-        protocol=protocol,
-        layout=layout,
-        roots=(config_of(root_key),),
-        edges=edges,
-        depth_of=depth_of,
-        frontier=tuple(frontier),
-        complete=complete,
-    )
-    if tracer is not None:
-        tracer.record_explore(
-            protocol_name=getattr(protocol, "name",
-                                  type(protocol).__name__),
-            n_configs=len(depth_of),
-            n_edges=sum(len(e) for e in edges.values()),
-            depth=max(depth_of.values()) if depth_of else 0,
-            complete=complete,
-            seconds=_perf_counter() - t0,
-            n_frontier=len(frontier),
-        )
-    return graph
-
-
 def explore(
     protocol: Automaton,
     inputs: Sequence[Hashable],
@@ -446,7 +243,6 @@ def explore(
     on_node: Optional[Callable[[Configuration, int], None]] = None,
     memory=None,
     tracer=None,
-    engine: Optional[str] = None,
 ) -> ConfigGraph:
     """Breadth-first exploration from the initial configuration.
 
@@ -474,34 +270,11 @@ def explore(
         recorded as one ``checker.explore`` span (logical time = depth
         reached, attrs = configs/edges/completeness).  Purely
         observational — the graph is identical with or without it.
-    engine:
-        ``"objects"`` (default) walks rich :class:`Configuration`
-        objects through :func:`successors`; ``"tables"`` compiles the
-        protocol to the table IR (:mod:`repro.ir`) and runs the same
-        BFS over interned integer keys — under any memory semantics —
-        returning an identical graph.  The tables engine raises only
-        for protocols the IR itself cannot express: non-register
-        operations (:class:`~repro.ir.lower.IRUnsupportedError`) or
-        state spaces that blow the interning budget
-        (:class:`~repro.ir.lower.IRCompileError`).  For a summary
-        report over a far larger space (fingerprinted visited set, no
-        materialized graph), see :func:`repro.checker.statespace.
-        explore_fast`.
-    """
-    from repro.engines import UnknownEngineError, resolve_engine
 
-    info = resolve_engine("checker", engine)
-    if info.batch_shape != "graph":
-        # Registered, but does not materialize a ConfigGraph — point at
-        # the summary-report surfaces instead of claiming "unknown".
-        raise UnknownEngineError(
-            f"checker engine {info.name!r} does not materialize a "
-            f"ConfigGraph; use verify_safety(engine={info.name!r}) or "
-            f"repro.checker.statespace.explore_fast for the summary "
-            f"report")
-    if info.name == "tables":
-        return _explore_tables(protocol, inputs, max_depth, max_states,
-                               on_node, memory_spec(memory), tracer)
+    For a summary report over a far larger space (fingerprinted visited
+    set, no materialized graph), see
+    :func:`repro.checker.statespace.explore_fast`.
+    """
     t0 = _perf_counter() if tracer is not None else 0.0
     # One TransitionCache for the whole BFS: (pid, state) pairs recur
     # across configurations far more often than in a single run, so

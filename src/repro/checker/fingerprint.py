@@ -16,10 +16,11 @@ keys — O(1) per edge regardless of system width.
 Determinism contract
 --------------------
 
-Fingerprints must be identical across worker processes (the sharded
-frontier merges visited-fingerprint sets; see docs/CHECKER.md §5) and
-across runs, so nothing here may depend on Python's per-process salted
-``hash()`` or on interning order (two workers that discover states in
+Fingerprints must be identical across processes and runs (a visited
+set kept with ``keep_fingerprints`` must reproduce on any host, and two
+engines compiled independently for the same search must agree), so
+nothing here may depend on Python's per-process salted ``hash()``
+or on interning order (two compilations that discover states in
 different orders assign different state ids to the same state).  Keys
 are therefore derived from *content*: a structural 64-bit token of the
 state/value object (:func:`stable_token` — FNV/SplitMix over the

@@ -114,7 +114,6 @@ def verify_safety(
     engine: Optional[str] = None,
     symmetry: bool = False,
     por: bool = False,
-    workers: int = 1,
     exact: bool = False,
 ) -> SafetyReport:
     """Exhaustively check consistency and nontriviality.
@@ -134,23 +133,22 @@ def verify_safety(
     property holds against scheduling, coins *and* adversary read-value
     choices (see :mod:`repro.checker.weakmem` for witness extraction).
 
-    ``engine`` selects the backend: ``"objects"`` or ``"tables"`` walk
-    the materialized graph (:func:`repro.checker.explorer.explore` —
-    identical graphs, identical verdicts), while ``"fingerprints"``
-    runs the scalable fingerprinted search
+    ``engine`` selects the backend: ``"objects"`` walks the
+    materialized graph (:func:`repro.checker.explorer.explore`), while
+    ``"fingerprints"`` runs the scalable fingerprinted search
     (:func:`repro.checker.statespace.explore_fast`) with inline
     checking and no graph — the only engine that scales to the
-    three-bounded protocol's full reachable space.  ``symmetry``/
-    ``por``/``workers``/``exact`` tune the fingerprints engine (see
-    docs/CHECKER.md) and are rejected elsewhere.
+    three-bounded protocol's full reachable space.  Both reach the
+    same verdict.  ``symmetry``/``por``/``exact`` tune the fingerprints
+    engine (see docs/CHECKER.md) and are rejected elsewhere.
     """
     from repro.engines import resolve_engine
 
     info = resolve_engine("checker", engine)
     engine = info.name
-    if (symmetry or por or workers != 1 or exact) and not info.reductions:
+    if (symmetry or por or exact) and not info.reductions:
         raise ValueError(
-            "symmetry/por/workers/exact require engine='fingerprints' "
+            "symmetry/por/exact require engine='fingerprints' "
             f"(engine {engine!r} has no reduction support)")
     if engine == "fingerprints":
         from repro.checker.statespace import explore_fast
@@ -158,7 +156,7 @@ def verify_safety(
         rep = explore_fast(
             protocol, inputs, memory=memory, max_depth=max_depth,
             max_states=max_states, symmetry=symmetry, por=por,
-            workers=workers, exact=exact,
+            exact=exact,
         )
         return SafetyReport(
             ok=rep.ok,
@@ -194,7 +192,7 @@ def verify_safety(
 
     graph = explore(
         protocol, inputs, max_depth=max_depth, max_states=max_states,
-        on_node=on_node, memory=memory, engine=engine,
+        on_node=on_node, memory=memory,
     )
     return SafetyReport(
         ok=state["violation"] is None,

@@ -33,11 +33,10 @@ Optional reductions (:mod:`repro.checker.reduction`):
   asserts literally.  Auto-disabled (with a note) under weak memory,
   depth budgets, or combined with symmetry.
 
-``workers > 1`` fans each BFS level across a process pool
-(:mod:`repro.parallel.frontier`) and merges the shard results in shard
-order; fingerprints are content-derived, so the merged visited set is
-identical at any worker count.  See docs/CHECKER.md for the collision
-math, the soundness arguments, and the determinism contract.
+The search always runs in the calling process: fingerprints are
+content-derived, so a report depends only on the protocol, inputs,
+memory semantics, budgets and ``fingerprint_seed``.  See
+docs/CHECKER.md for the collision math and the soundness arguments.
 """
 
 from __future__ import annotations
@@ -63,10 +62,6 @@ from repro.sim.process import Automaton
 #: Default distinct-configuration budget — sized for the exhaustive
 #: three_bounded cell (17.4M states), not for toy runs.
 DEFAULT_MAX_STATES = 50_000_000
-
-#: Below this level size the sharded path falls back to in-process
-#: expansion — pickling a tiny level costs more than expanding it.
-MIN_PARALLEL_LEVEL = 512
 
 
 @dataclasses.dataclass
@@ -103,7 +98,6 @@ class ExploreReport:
     por: bool
     por_note: Optional[str]
     pruned: int
-    workers: int
     frontier: int
     fingerprints: Optional[frozenset] = None
     fingerprint_of: Optional[Callable[[Configuration], Any]] = \
@@ -144,10 +138,8 @@ def _orbit_input_sets(protocol: Automaton,
 class StateSpaceEngine:
     """Compiled tables + reductions + fingerprints for one exploration.
 
-    Shared by the serial loop and the frontier workers (each worker
-    rebuilds an identical engine from the picklable task spec); all the
-    cross-process determinism lives in the content-derived fingerprints
-    and the canonical reduction tables, so engines built independently
+    The fingerprints are content-derived and the reduction tables
+    canonical, so two engines built independently for the same search
     agree edge-for-edge.
     """
 
@@ -234,25 +226,6 @@ class StateSpaceEngine:
             sids, regs, pend = self.group.canonical(sids, regs, pend)
         return self.key_of(sids, regs, pend)
 
-    def decode_item(self, item: Tuple) -> Tuple:
-        """Packed item -> picklable ``(states, reg-values, mem, mask)``."""
-        sids, regs, pend, _, mask = item
-        cp = self.cp
-        return (tuple(cp.state_obj[s] for s in sids),
-                tuple(cp.values[v] for v in regs),
-                tuple((w, s, cp.values[v]) for w, s, v in pend),
-                mask)
-
-    def encode_item(self, decoded: Tuple) -> Tuple:
-        """Picklable decoded tuple -> packed item (interning on demand)."""
-        states, reg_values, mem, mask = decoded
-        cp = self.cp
-        sids = tuple(cp.intern_state(pid, st)
-                     for pid, st in enumerate(states))
-        regs = tuple(cp.intern_value(v) for v in reg_values)
-        pend = tuple((w, s, cp.intern_value(v)) for w, s, v in mem)
-        return (sids, regs, pend, self.key_of(sids, regs, pend), mask)
-
     def witness_of(self, sids, regs, pend) -> Configuration:
         return self.cp.decode_configuration(sids, regs, pend)
 
@@ -291,17 +264,15 @@ class StateSpaceEngine:
 
     def expand_level(self, items: Sequence[Tuple], visited,
                      next_items: List[Tuple], depth: int,
-                     max_states: Optional[int]) -> Tuple:
+                     max_states: int) -> Tuple:
         """Expand one BFS level against ``visited``, appending new items.
 
         ``visited`` is a set of keys (no POR) or a ``{key: sleep-mask}``
-        dict (POR); ``max_states`` of ``None`` means unbounded (the
-        worker path — budgets are enforced by the parent merge).
-        Returns ``(edges, pruned, violations, stopped_at)`` where
-        ``stopped_at`` is the index of the first unexpanded item when
-        the state budget tripped mid-level (else ``None``) and
-        ``violations`` holds decoded ``(message, states, regs, mem)``
-        records (first one wins upstream).
+        dict (POR).  Returns ``(edges, pruned, violations, stopped_at)``
+        where ``stopped_at`` is the index of the first unexpanded item
+        when the state budget tripped or a violation stopped the level
+        (else ``None``) and ``violations`` holds the packed
+        ``(message, sids, regs, pend)`` record of that violation.
         """
         cp = self.cp
         state_nb = cp.state_nb
@@ -424,8 +395,7 @@ class StateSpaceEngine:
                                 if por:
                                     old = visited_get(nfp)
                                     if old is None:
-                                        if max_states is not None and \
-                                                len(visited) >= max_states:
+                                        if len(visited) >= max_states:
                                             return (edges, pruned,
                                                     violations, idx)
                                         visited[nfp] = nmask
@@ -442,8 +412,7 @@ class StateSpaceEngine:
                                 else:
                                     if nfp in visited:
                                         continue
-                                    if max_states is not None and \
-                                            len(visited) >= max_states:
+                                    if len(visited) >= max_states:
                                         return (edges, pruned,
                                                 violations, idx)
                                     visited.add(nfp)
@@ -453,8 +422,7 @@ class StateSpaceEngine:
                                     msg = self.check_state(nsids, ndepth)
                                     if msg is not None:
                                         violations.append(
-                                            self._violation(
-                                                msg, nsids, regs, pend))
+                                            (msg, nsids, regs, pend))
                                         return (edges, pruned,
                                                 violations, idx)
                                 append((nsids, regs, pend, nfp, nmask))
@@ -486,8 +454,7 @@ class StateSpaceEngine:
                             if por:
                                 old = visited_get(nfp)
                                 if old is None:
-                                    if max_states is not None and \
-                                            len(visited) >= max_states:
+                                    if len(visited) >= max_states:
                                         return (edges, pruned,
                                                 violations, idx)
                                     visited[nfp] = nmask
@@ -506,8 +473,7 @@ class StateSpaceEngine:
                             else:
                                 if nfp in visited:
                                     continue
-                                if max_states is not None and \
-                                        len(visited) >= max_states:
+                                if len(visited) >= max_states:
                                     return edges, pruned, violations, idx
                                 visited.add(nfp)
                             nsids = sids[:pid] + (nsid,) + sids[pid + 1:]
@@ -516,8 +482,8 @@ class StateSpaceEngine:
                             if state_out[nsid] >= 0:
                                 msg = self.check_state(nsids, ndepth)
                                 if msg is not None:
-                                    violations.append(self._violation(
-                                        msg, nsids, nregs, pend))
+                                    violations.append(
+                                        (msg, nsids, nregs, pend))
                                     return edges, pruned, violations, idx
                             append((nsids, nregs, pend, nfp, nmask))
                         else:
@@ -550,7 +516,7 @@ class StateSpaceEngine:
         if self.por:
             old = visited.get(key)
             if old is None:
-                if max_states is not None and len(visited) >= max_states:
+                if len(visited) >= max_states:
                     return True
                 visited[key] = nmask
             elif old & nmask != old:
@@ -563,23 +529,15 @@ class StateSpaceEngine:
         else:
             if key in visited:
                 return False
-            if max_states is not None and len(visited) >= max_states:
+            if len(visited) >= max_states:
                 return True
             visited.add(key)
         msg = self.check_state(nsids, ndepth)
         if msg is not None:
-            violations.append(self._violation(msg, nsids, nregs, npend))
+            violations.append((msg, nsids, nregs, npend))
             return True
         append((nsids, nregs, npend, key, nmask))
         return False
-
-    def _violation(self, msg, sids, regs, pend) -> Tuple:
-        """Decode a violation record for transport/reporting."""
-        cp = self.cp
-        return (msg,
-                tuple(cp.state_obj[s] for s in sids),
-                tuple(cp.values[v] for v in regs),
-                tuple((w, s, cp.values[v]) for w, s, v in pend))
 
 
 def explore_fast(
@@ -592,14 +550,11 @@ def explore_fast(
     exact: bool = False,
     symmetry: bool = False,
     por: bool = False,
-    workers: int = 1,
-    protocol_factory: Optional[Callable[[], Automaton]] = None,
     fingerprint_seed: int = 0,
     keep_fingerprints: bool = False,
     heartbeat_sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     heartbeat_every: int = 200_000,
     telemetry_path: Optional[str] = None,
-    spill_dir: Optional[str] = None,
     tracer=None,
 ) -> ExploreReport:
     """Level-synchronous fingerprinted BFS with inline safety checking.
@@ -611,18 +566,14 @@ def explore_fast(
 
     Parameters beyond the explorer's: ``exact`` stores packed vectors
     instead of fingerprints (no collision risk, more memory);
-    ``symmetry``/``por`` enable the verified reductions; ``workers``
-    fans levels across a process pool; ``heartbeat_sink``/
-    ``telemetry_path`` stream :class:`~repro.obs.telemetry.Heartbeat`
-    progress pulses (visited, states/sec, depth, frontier — ``repro
-    top`` renders them); ``spill_dir`` spools sharded level payloads
-    through files instead of pipes; ``tracer`` records the whole
-    search as one ``checker.explore`` span with ``visited``/
-    ``frontier`` attributes.
+    ``symmetry``/``por`` enable the verified reductions;
+    ``heartbeat_sink``/``telemetry_path`` stream
+    :class:`~repro.obs.telemetry.Heartbeat` progress pulses (visited,
+    states/sec, depth, frontier — ``repro top`` renders them);
+    ``tracer`` records the whole search as one ``checker.explore`` span
+    with ``visited``/``frontier`` attributes.
     """
     t0 = _perf_counter()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     engine = StateSpaceEngine(
         protocol, inputs, memory, exact=exact, symmetry=symmetry,
         por=por, fingerprint_seed=fingerprint_seed)
@@ -643,7 +594,6 @@ def explore_fast(
         telemetry_fh = open(telemetry_path, "w")
         sinks.append(file_sink(telemetry_fh))
 
-    pool_runner = None
     try:
         root = engine.root_item()
         visited: Any = {root[3]: 0} if engine.por else {root[3]}
@@ -680,7 +630,7 @@ def explore_fast(
 
         root_msg = engine.check_state(root[0], 0)
         if root_msg is not None:
-            violation_rec = engine._violation(root_msg, *root[:3])
+            violation_rec = (root_msg,) + root[:3]
             level = []
 
         while level and violation_rec is None:
@@ -689,20 +639,8 @@ def explore_fast(
                 truncated_by = "depth"
                 break
             next_items: List[Tuple] = []
-            if workers > 1 and len(level) >= max(
-                    MIN_PARALLEL_LEVEL, workers):
-                from repro.parallel import frontier as frontier_mod
-
-                if pool_runner is None:
-                    pool_runner = frontier_mod.FrontierPool(
-                        engine, workers, spill_dir=spill_dir,
-                        protocol_factory=protocol_factory)
-                lv_edges, lv_pruned, viols, stopped = \
-                    pool_runner.expand_level(
-                        level, visited, next_items, depth, max_states)
-            else:
-                lv_edges, lv_pruned, viols, stopped = engine.expand_level(
-                    level, visited, next_items, depth, max_states)
+            lv_edges, lv_pruned, viols, stopped = engine.expand_level(
+                level, visited, next_items, depth, max_states)
             edges += lv_edges
             pruned += lv_pruned
             if viols:
@@ -737,9 +675,7 @@ def explore_fast(
         violation_msg = None
         if violation_rec is not None:
             violation_msg = violation_rec[0]
-            witness = Configuration(
-                states=violation_rec[1], registers=violation_rec[2],
-                mem=violation_rec[3] or None)
+            witness = engine.witness_of(*violation_rec[1:])
         emit(True, len(frontier_items))
 
         if tracer is not None:
@@ -775,7 +711,6 @@ def explore_fast(
             por=engine.por,
             por_note=engine.por_note,
             pruned=pruned,
-            workers=workers,
             frontier=len(frontier_items),
             fingerprints=(frozenset(visited) if keep_fingerprints
                           else None),
@@ -783,7 +718,5 @@ def explore_fast(
         )
         return report
     finally:
-        if pool_runner is not None:
-            pool_runner.close()
         if telemetry_fh is not None:
             telemetry_fh.close()

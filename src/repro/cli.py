@@ -201,20 +201,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     protocol = _build_protocol(args.protocol, len(inputs))
     if args.engine == "fingerprints":
         from repro.checker.statespace import explore_fast
-        from repro.parallel.tasks import ProtocolSpec
 
         rep = explore_fast(
             protocol, inputs, memory=args.memory, max_depth=args.depth,
             max_states=args.max_states, symmetry=args.symmetry,
-            por=args.por, workers=args.workers, exact=args.exact,
-            protocol_factory=ProtocolSpec(args.protocol, len(inputs)),
+            por=args.por, exact=args.exact,
             telemetry_path=args.telemetry,
         )
         print(f"protocol: {protocol.name}, inputs {inputs}")
         print(f"explored: {rep.visited} configurations, {rep.edges} "
               f"edges, depth {rep.depth} "
               f"({rep.states_per_sec:,.0f} states/sec"
-              + (f", {rep.workers} workers" if rep.workers > 1 else "")
               + (", exact visited set" if rep.exact else "") + ")")
         if args.symmetry:
             note = f" ({rep.symmetry_note})" if rep.symmetry_note else ""
@@ -231,9 +228,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not rep.ok:
             print(f"witness configuration: {rep.witness}")
         return 0 if rep.ok else 1
-    if args.symmetry or args.por or args.workers != 1 or args.exact \
-            or args.telemetry:
-        print("error: --symmetry/--por/--workers/--exact/--telemetry "
+    if args.symmetry or args.por or args.exact or args.telemetry:
+        print("error: --symmetry/--por/--exact/--telemetry "
               "require --engine fingerprints")
         return 2
     report = verify_safety(protocol, inputs, max_depth=args.depth,
@@ -733,11 +729,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="register semantics to verify under; weak "
                         "semantics also search for an anomaly witness")
     _engine_argument(p, "checker",
-                     "explorer backend: 'tables' steps the compiled "
-                     "IR (identical graph, any memory semantics); "
-                     "'fingerprints' runs the scalable fingerprinted "
-                     "search (docs/CHECKER.md) — identical verdict "
-                     "either way")
+                     "explorer backend: 'objects' builds the "
+                     "configuration graph; 'fingerprints' runs the "
+                     "scalable fingerprinted search (docs/CHECKER.md) "
+                     "— identical verdict either way")
     p.add_argument("--symmetry", action="store_true",
                    help="canonicalize over the verified processor-"
                         "permutation group before fingerprinting "
@@ -747,9 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "disabled (with a note) under depth budgets, "
                         "weak memory, or --symmetry (engine "
                         "fingerprints only)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="shard BFS levels across this many processes "
-                        "(engine fingerprints only)")
     p.add_argument("--exact", action="store_true",
                    help="store packed state vectors instead of 64-bit "
                         "fingerprints: no collision risk, more memory "

@@ -1,15 +1,14 @@
 """The engine registry: one canonical catalogue of execution backends.
 
 The library grew three *simulation* engines (``reference``, ``fast``,
-``vector``) and three *checker* engines (``objects``, ``tables``,
-``fingerprints``), and with them five divergent hand-rolled
+``vector``) and two *checker* engines (``objects``, ``fingerprints``),
+and with them five divergent hand-rolled
 ``if engine not in (...)`` blocks scattered over the runner, ``solve``,
 the explorer and the CLI.  This module replaces that plumbing with a
 single registry: engines register themselves once, with capability
 flags, and every selection path — :class:`~repro.sim.kernel.Simulation`,
 :class:`~repro.sim.runner.ExperimentRunner`,
 :class:`~repro.parallel.engine.BatchSpec`,
-:func:`~repro.checker.explorer.explore`,
 :func:`~repro.checker.properties.verify_safety` and all CLI
 ``--engine`` flags — resolves and validates through
 :func:`resolve_engine`.
@@ -20,7 +19,9 @@ Engines are namespaced by *kind*:
   run_index)``, bit-identical across engines for the supported matrix
   (docs/PERFORMANCE.md, docs/IR.md).
 * ``"checker"`` — explores the reachable configuration space; identical
-  verdicts across engines (docs/CHECKER.md).
+  verdicts across engines (docs/CHECKER.md).  ``objects`` is the only
+  engine that materializes a ``ConfigGraph``; ``fingerprints`` is the
+  only scalable search.
 
 Capability flags describe what each backend supports so callers can
 validate a request (e.g. ``symmetry=True`` needs a checker engine with
@@ -73,8 +74,8 @@ class EngineInfo:
     batch_shape: str = "single"
     #: Supports regular/safe register semantics (all built-ins do).
     weak_memory: bool = True
-    #: Checker only: supports the verified symmetry/POR reductions,
-    #: sharded workers and the exact-visited-set toggle.
+    #: Checker only: supports the verified symmetry/POR reductions
+    #: and the exact-visited-set toggle.
     reductions: bool = False
     #: Sim only: constructible as a standalone ``Simulation`` (the
     #: vector backend needs the batch entry points instead).
@@ -189,12 +190,7 @@ register_engine(EngineInfo(
              "ConfigGraph"),
     batch_shape="graph", default=True))
 register_engine(EngineInfo(
-    name="tables", kind=CHECKER,
-    summary=("the objects BFS over compiled table-IR keys — identical "
-             "graph, interned integer states"),
-    batch_shape="graph"))
-register_engine(EngineInfo(
     name="fingerprints", kind=CHECKER,
     summary=("scalable fingerprinted state-space engine with verified "
-             "symmetry/POR and a sharded frontier (docs/CHECKER.md)"),
+             "symmetry/POR, run in process (docs/CHECKER.md)"),
     batch_shape="level", reductions=True))

@@ -1,10 +1,10 @@
-"""Budget-truncation semantics across all three verification engines.
+"""Budget-truncation semantics across both verification engines.
 
 A truncated exploration must never masquerade as a full verification:
 ``SafetyReport.complete`` (and ``ExploreReport.exhausted``) may only be
 true when the entire reachable space was enumerated.  These tests pin
 the exact boundary — a budget of ``|reachable|`` states is enough, a
-budget of ``|reachable| - 1`` is not — for the objects, tables and
+budget of ``|reachable| - 1`` is not — for the objects and
 fingerprints engines alike, plus the depth-cutoff boundary and the
 fingerprints engine's ``truncated_by`` attribution.
 """
@@ -18,7 +18,7 @@ from repro.core.deterministic import TwoProcessDeterministic
 from repro.core.naive import NaiveProtocol
 from repro.core.two_process import TwoProcessProtocol
 
-ENGINES = ("objects", "tables", "fingerprints")
+ENGINES = ("objects", "fingerprints")
 
 
 class TestMaxStatesBoundary:

@@ -154,7 +154,7 @@ class TestPartialOrder:
 class TestVerifySafetyPlumbing:
     def test_reduction_kwargs_require_fingerprints_engine(self):
         for kwargs in ({"symmetry": True}, {"por": True},
-                       {"workers": 2}, {"exact": True}):
+                       {"exact": True}):
             with pytest.raises(ValueError, match="fingerprints"):
                 verify_safety(TwoProcessProtocol(), ("a", "b"),
                               engine="objects", **kwargs)

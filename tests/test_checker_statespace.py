@@ -6,8 +6,8 @@ object-graph explorer — same quantification over schedulers, coins and
 (under weak memory) adversary read values — only faster.  These tests
 assert that literally: the objects BFS's configurations, mapped through
 ``ExploreReport.fingerprint_of``, must equal the fingerprint set the
-fast search visited, cell by cell across protocols and memory models,
-in fingerprint and exact modes, serial and sharded.
+fast search visited, cell by cell across protocols, memory models and
+budgets, in fingerprint and exact modes.
 """
 
 from __future__ import annotations
@@ -17,22 +17,30 @@ import json
 import pytest
 
 from repro.checker import explore, explore_fast, verify_safety
-from repro.checker import statespace
 from repro.core.deterministic import TwoProcessDeterministic
 from repro.core.naive import NaiveProtocol
 from repro.core.three_bounded import ThreeBoundedProtocol
 from repro.core.two_process import TwoProcessProtocol
 from repro.obs.telemetry import read_telemetry, render_top
 from repro.obs.tracing import Tracer
-from repro.parallel.tasks import ProtocolSpec
 
-# (label, factory, inputs, memory) — exhaustible cells spanning the
-# protocol zoo and all three register semantics.
+# (label, factory, inputs, memory, budget) — cells spanning the
+# protocol zoo, all three register semantics and both budgets.  An
+# empty budget means the cell is exhausted; the depth-9 weak-memory
+# cells stop at a horizon where pending writes already fan reads out.
 CELLS = [
-    ("two-atomic", TwoProcessProtocol, ("a", "b"), None),
-    ("two-regular", TwoProcessProtocol, ("a", "b"), "regular"),
-    ("two-safe", TwoProcessProtocol, ("a", "b"), "safe"),
-    ("naive3-atomic", lambda: NaiveProtocol(3), ("a", "b", "a"), None),
+    ("two-atomic", TwoProcessProtocol, ("a", "b"), None, {}),
+    ("two-regular", TwoProcessProtocol, ("a", "b"), "regular", {}),
+    ("two-safe", TwoProcessProtocol, ("a", "b"), "safe", {}),
+    ("naive3-atomic", lambda: NaiveProtocol(3), ("a", "b", "a"), None, {}),
+    ("naive3-aab-atomic", lambda: NaiveProtocol(3), ("a", "a", "b"), None,
+     {}),
+    ("naive3-aab-s300", lambda: NaiveProtocol(3), ("a", "a", "b"), None,
+     {"max_states": 300}),
+    ("two-regular-d9", TwoProcessProtocol, ("a", "b"), "regular",
+     {"max_depth": 9}),
+    ("two-safe-d9", TwoProcessProtocol, ("a", "b"), "safe",
+     {"max_depth": 9}),
 ]
 
 
@@ -44,36 +52,42 @@ def _object_fps(report, graph):
 
 class TestDifferential:
     @pytest.mark.parametrize(
-        "label,factory,inputs,memory",
+        "label,factory,inputs,memory,budget",
         CELLS, ids=[c[0] for c in CELLS])
     def test_visited_set_equals_objects_bfs(self, label, factory,
-                                            inputs, memory):
-        graph = explore(factory(), inputs, memory=memory)
-        assert graph.complete
+                                            inputs, memory, budget):
+        graph = explore(factory(), inputs, memory=memory, **budget)
+        assert graph.complete == (not budget)
         report = explore_fast(factory(), inputs, memory=memory,
-                              keep_fingerprints=True)
+                              keep_fingerprints=True, **budget)
         assert report.ok
-        assert report.exhausted
-        assert report.truncated_by is None
+        assert report.exhausted == graph.complete
+        assert report.truncated_by == (
+            None if graph.complete
+            else "depth" if "max_depth" in budget else "states")
         assert report.visited == len(graph.depth_of)
         assert _object_fps(report, graph) == report.fingerprints
+        if memory is not None:
+            # Weak memory genuinely fans out: some node carries a
+            # pending write.
+            assert any(c.mem for c in graph.depth_of)
 
     @pytest.mark.parametrize(
-        "label,factory,inputs,memory",
+        "label,factory,inputs,memory,budget",
         CELLS, ids=[c[0] for c in CELLS])
     def test_exact_mode_matches_fingerprint_mode(self, label, factory,
-                                                 inputs, memory):
-        fp = explore_fast(factory(), inputs, memory=memory)
+                                                 inputs, memory, budget):
+        fp = explore_fast(factory(), inputs, memory=memory, **budget)
         ex = explore_fast(factory(), inputs, memory=memory, exact=True,
-                          keep_fingerprints=True)
+                          keep_fingerprints=True, **budget)
         assert ex.exact and not fp.exact
         assert ex.visited == fp.visited
         assert ex.edges == fp.edges
         assert ex.depth == fp.depth
-        assert ex.exhausted and fp.exhausted
+        assert ex.exhausted == fp.exhausted == (not budget)
         # Exact keys decode back through fingerprint_of too: the
         # objects graph maps onto them just as onto fingerprints.
-        graph = explore(factory(), inputs, memory=memory)
+        graph = explore(factory(), inputs, memory=memory, **budget)
         assert _object_fps(ex, graph) == ex.fingerprints
 
     def test_depth_limited_differential(self):
@@ -123,32 +137,6 @@ class TestViolationParity:
         assert not report.ok
         assert "consistency" in report.violation
         assert report.witness is not None
-
-
-class TestShardedFrontier:
-    def test_workers_visit_identical_fingerprint_set(self, monkeypatch,
-                                                     tmp_path):
-        # Force the pool path on a small model so the test stays fast.
-        monkeypatch.setattr(statespace, "MIN_PARALLEL_LEVEL", 4)
-        serial = explore_fast(NaiveProtocol(3), ("a", "b", "a"),
-                              keep_fingerprints=True)
-        sharded = explore_fast(
-            NaiveProtocol(3), ("a", "b", "a"), workers=2,
-            protocol_factory=ProtocolSpec("naive", 3),
-            keep_fingerprints=True)
-        spilled = explore_fast(
-            NaiveProtocol(3), ("a", "b", "a"), workers=2,
-            protocol_factory=ProtocolSpec("naive", 3),
-            spill_dir=str(tmp_path), keep_fingerprints=True)
-        assert sharded.workers == 2
-        assert serial.exhausted and sharded.exhausted and spilled.exhausted
-        assert serial.fingerprints == sharded.fingerprints
-        assert serial.fingerprints == spilled.fingerprints
-        assert serial.edges == sharded.edges == spilled.edges
-
-    def test_workers_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            explore_fast(TwoProcessProtocol(), ("a", "b"), workers=0)
 
 
 class TestTelemetry:
@@ -202,7 +190,6 @@ class TestReportShape:
         assert report.inputs == ("a", "b")
         assert report.memory == "regular"
         assert report.states_per_sec > 0
-        assert report.workers == 1
         assert report.frontier == 0
         # fingerprints only materialize on request
         assert report.fingerprints is None

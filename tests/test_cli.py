@@ -202,6 +202,11 @@ class TestReport:
         with pytest.raises(SystemExit, match="workers 1"):
             main(["report", "--runs", "5", "--workers", "2", "--profile"])
 
-    def test_report_bad_worker_count_rejected(self):
+    def test_report_bad_worker_count_rejected(self, capsys):
         with pytest.raises(SystemExit, match="workers"):
             main(["report", "--runs", "5", "--workers", "0"])
+        # The checker searches in process: verify takes no --workers.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -29,8 +29,7 @@ from repro.engines import (
 class TestRegistry:
     def test_builtin_vocabulary(self):
         assert engine_names(SIM) == ("reference", "fast", "vector")
-        assert engine_names(CHECKER) == ("objects", "tables",
-                                         "fingerprints")
+        assert engine_names(CHECKER) == ("objects", "fingerprints")
 
     def test_defaults(self):
         assert default_engine(SIM).name == "fast"
@@ -44,7 +43,6 @@ class TestRegistry:
         assert not resolve_engine(SIM, "vector").standalone
         assert resolve_engine(SIM, "vector").batch_shape == "lockstep"
         assert resolve_engine(CHECKER, "objects").batch_shape == "graph"
-        assert resolve_engine(CHECKER, "tables").batch_shape == "graph"
         fp = resolve_engine(CHECKER, "fingerprints")
         assert fp.batch_shape == "level" and fp.reductions
         assert not resolve_engine(CHECKER, "objects").reductions
@@ -80,15 +78,15 @@ class TestTheOneValidationError:
                            match="'reference', 'fast', 'vector'"):
             resolve_engine(SIM, "warp")
         with pytest.raises(UnknownEngineError,
-                           match="'objects', 'tables', 'fingerprints'"):
+                           match="'objects', 'fingerprints'"):
             resolve_engine(CHECKER, "warp")
 
     def test_did_you_mean(self):
         with pytest.raises(UnknownEngineError, match="did you mean 'fast'"):
             resolve_engine(SIM, "fsat")
         with pytest.raises(UnknownEngineError,
-                           match="did you mean 'tables'"):
-            resolve_engine(CHECKER, "tabels")
+                           match="did you mean 'objects'"):
+            resolve_engine(CHECKER, "objcts")
 
     def test_wrong_kind_hint(self):
         # A real engine of the other kind gets a cross-kind hint, not a
@@ -186,13 +184,6 @@ class TestCallSitesRouteThroughRegistry:
                       inputs_factory=ConstantInputs(("a", "b")),
                       seed=0, engine="fats")
 
-    def test_explore(self):
-        from repro.checker.explorer import explore
-        from repro.core.two_process import TwoProcessProtocol
-
-        with pytest.raises(UnknownEngineError):
-            explore(TwoProcessProtocol(), ("a", "b"), engine="tabels")
-
     def test_verify_safety(self):
         from repro.checker import verify_safety
         from repro.core.two_process import TwoProcessProtocol
@@ -208,7 +199,7 @@ class TestCallSitesRouteThroughRegistry:
         for argv in (["solve", "--engine", "fsat"],
                      ["report", "--engine", "fsat"],
                      ["trace", "--engine", "fsat"],
-                     ["verify", "--engine", "tabels"]):
+                     ["verify", "--engine", "objcts"]):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
             err = capsys.readouterr().err
@@ -237,4 +228,4 @@ class TestCallSitesRouteThroughRegistry:
                           engine="objects", symmetry=True)
         with pytest.raises(ValueError, match="no reduction support"):
             verify_safety(TwoProcessProtocol(), ("a", "b"),
-                          engine="tables", workers=2)
+                          engine="objects", exact=True)

@@ -32,6 +32,7 @@ except ImportError:  # pragma: no cover - numpy-less host
 
 from repro.checker.explorer import explore
 from repro.checker.properties import verify_safety
+from repro.checker.statespace import explore_fast
 from repro.core.consensus import solve
 from repro.core.n_process import NProcessProtocol
 from repro.core.naive import NaiveProtocol
@@ -397,67 +398,14 @@ def test_runner_vector_rejects_unsupported_scheduler():
 
 
 # ----------------------------------------------------------------------
-# Checker: the tables engine must produce the identical graph
+# Checker: the fingerprinted search over the compiled tables
 # ----------------------------------------------------------------------
 
-def _graph_fingerprint(graph):
-    edges = {
-        config: tuple((s.pid, s.probability, s.op, s.config, s.result)
-                      for s in succ)
-        for config, succ in graph.edges.items()
-    }
-    return (graph.roots, dict(graph.depth_of), edges,
-            tuple(graph.frontier), graph.complete)
-
-
-@pytest.mark.parametrize("protocol_name, inputs, kwargs", [
-    ("two_process", ("a", "b"), {}),
-    ("three_bounded", ("a", "b", "a"), {"max_depth": 7}),
-    ("naive_3", ("a", "a", "b"), {}),
-    ("naive_3", ("a", "a", "b"), {"max_states": 300}),
-])
-def test_explore_tables_graph_identical(protocol_name, inputs, kwargs):
-    protocol_factory, _ = PROTOCOLS[protocol_name]
-    visits = {"objects": [], "tables": []}
-    graphs = {
-        engine: explore(protocol_factory(), inputs, engine=engine,
-                        on_node=lambda c, d, e=engine:
-                            visits[e].append((c, d)),
-                        **kwargs)
-        for engine in ("objects", "tables")
-    }
-    assert _graph_fingerprint(graphs["objects"]) \
-        == _graph_fingerprint(graphs["tables"])
-    assert visits["objects"] == visits["tables"]
-
-
-def test_verify_safety_tables_engine():
-    for engine in (None, "tables"):
+def test_verify_safety_fingerprints_engine():
+    for engine in (None, "fingerprints"):
         report = verify_safety(NaiveProtocol(3), ("a", "a", "b"),
                                engine=engine)
         assert report.ok and report.complete
-
-
-@pytest.mark.parametrize("memory", ["regular", "safe"])
-def test_explore_tables_weak_memory_graph_identical(memory):
-    # The tables engine lowers the adversary's read fan-out into the
-    # per-value read-outcome cells: same nodes (including pending-write
-    # mem snapshots), same edge order, same Successor fields as the
-    # object-level weak-memory explorer.
-    graphs = {
-        engine: explore(TwoProcessProtocol(), ("a", "b"), max_depth=9,
-                        memory=memory, engine=engine)
-        for engine in ("objects", "tables")
-    }
-    assert _graph_fingerprint(graphs["objects"]) \
-        == _graph_fingerprint(graphs["tables"])
-    # Weak memory genuinely fans out: some node carries a pending write.
-    assert any(c.mem for c in graphs["tables"].depth_of)
-
-
-def test_explore_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        explore(TwoProcessProtocol(), ("a", "b"), engine="warp")
 
 
 # ----------------------------------------------------------------------
@@ -800,9 +748,26 @@ def test_random_automata_vector_equals_kernel(spec, seed, inputs_bits):
 @settings(max_examples=15, deadline=None)
 @given(spec=automaton_specs(), seed=st.integers(0, 2 ** 32))
 def test_random_automata_tables_explore(spec, seed):
+    # The fingerprinted search over the lowered tables visits exactly
+    # the configurations the objects BFS visits, in the same order: it
+    # stops at the first violation, so it must see the objects BFS's
+    # visit order up to and including the same witness.
     protocol = TableAutomaton(spec)
     inputs = tuple((seed >> pid) & 1 for pid in range(protocol.n_processes))
     kwargs = {"max_depth": 4, "max_states": 2_000}
-    a = explore(protocol, inputs, **kwargs)
-    b = explore(protocol, inputs, engine="tables", **kwargs)
-    assert _graph_fingerprint(a) == _graph_fingerprint(b)
+    order = []
+    graph = explore(protocol, inputs,
+                    on_node=lambda config, depth: order.append(config),
+                    **kwargs)
+    ref = verify_safety(protocol, inputs, **kwargs)
+    report = explore_fast(protocol, inputs, keep_fingerprints=True,
+                          **kwargs)
+    assert report.ok == ref.ok
+    assert report.violation == ref.violation
+    assert report.witness == ref.witness
+    if report.ok:
+        assert report.exhausted == graph.complete
+    else:
+        order = order[:order.index(ref.witness) + 1]
+    assert {report.fingerprint_of(c) for c in order} \
+        == report.fingerprints
