@@ -111,13 +111,13 @@ def pr3_run_fast(sim: Simulation, max_steps: int) -> None:
         if outcome is None:
             outcome = resolve_outcome(pid, states[pid], entry,
                                       branch_index, result)
-        states[pid] = outcome[0]
-        cur_entries[pid] = outcome[2]
+        states[pid] = outcome.state
+        cur_entries[pid] = outcome.next_entry
         sim._config_cache = None
         activations[pid] += 1
         step_index += 1
         sim.step_index = step_index
-        decided = outcome[1]
+        decided = outcome.decided
         if decided is not None:
             sim._record_decision(pid, decided)
 

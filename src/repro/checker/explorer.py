@@ -106,7 +106,7 @@ def _weak_successors(
                 for choice in memory.read_choices(slot):
                     if entry is not None:
                         new_state = cache.outcome(
-                            pid, state, entry, branch_index, choice)[0]
+                            pid, state, entry, branch_index, choice).state
                     else:
                         new_state = protocol.observe(pid, state, op, choice)
                     yield Successor(
@@ -126,7 +126,7 @@ def _weak_successors(
                 memory.restore(base_regs, base_mem)
                 if entry is not None:
                     new_state = cache.outcome(
-                        pid, state, entry, branch_index, None)[0]
+                        pid, state, entry, branch_index, None).state
                 else:
                     new_state = protocol.observe(pid, state, op, None)
                 yield Successor(
@@ -176,7 +176,7 @@ def successors(
                     result = None
                     next_config = config.with_register(slot, value)
                 new_state = cache.outcome(
-                    pid, state, entry, branch_index, result)[0]
+                    pid, state, entry, branch_index, result).state
                 yield Successor(
                     pid=pid, probability=branch.probability, op=op,
                     config=next_config.with_state(pid, new_state),

@@ -135,6 +135,11 @@ def _orbit_input_sets(protocol: Automaton,
     return sorted(orbit, key=repr)
 
 
+#: :meth:`StateSpaceEngine._add_generic`'s answer when the state budget
+#: refused a new state.
+_FULL = ("state budget",)
+
+
 class StateSpaceEngine:
     """Compiled tables + reductions + fingerprints for one exploration.
 
@@ -268,11 +273,12 @@ class StateSpaceEngine:
         """Expand one BFS level against ``visited``, appending new items.
 
         ``visited`` is a set of keys (no POR) or a ``{key: sleep-mask}``
-        dict (POR).  Returns ``(edges, pruned, violations, stopped_at)``
+        dict (POR).  Returns ``(edges, pruned, violation, stopped_at)``
         where ``stopped_at`` is the index of the first unexpanded item
         when the state budget tripped or a violation stopped the level
-        (else ``None``) and ``violations`` holds the packed
-        ``(message, sids, regs, pend)`` record of that violation.
+        (else ``None``) and ``violation`` is the packed
+        ``(message, sids, regs, pend)`` record of that violation (else
+        ``None``).
         """
         cp = self.cp
         state_nb = cp.state_nb
@@ -308,7 +314,6 @@ class StateSpaceEngine:
         append = next_items.append
         edges = 0
         pruned = 0
-        violations: List[Tuple] = []
 
         for idx, item in enumerate(items):
             sids, regs, pend, fp, mask = item
@@ -396,8 +401,7 @@ class StateSpaceEngine:
                                     old = visited_get(nfp)
                                     if old is None:
                                         if len(visited) >= max_states:
-                                            return (edges, pruned,
-                                                    violations, idx)
+                                            return edges, pruned, None, idx
                                         visited[nfp] = nmask
                                     elif old & nmask != old:
                                         nmask_m = old & nmask
@@ -413,29 +417,27 @@ class StateSpaceEngine:
                                     if nfp in visited:
                                         continue
                                     if len(visited) >= max_states:
-                                        return (edges, pruned,
-                                                violations, idx)
+                                        return edges, pruned, None, idx
                                     visited.add(nfp)
                                 nsids = sids[:pid] + (nsid,) \
                                     + sids[pid + 1:]
                                 if state_out[nsid] >= 0:
                                     msg = self.check_state(nsids, ndepth)
                                     if msg is not None:
-                                        violations.append(
-                                            (msg, nsids, regs, pend))
                                         return (edges, pruned,
-                                                violations, idx)
+                                                (msg, nsids, regs, pend),
+                                                idx)
                                 append((nsids, regs, pend, nfp, nmask))
                             else:
                                 nsids = sids[:pid] + (nsid,) \
                                     + sids[pid + 1:]
                                 stop = self._add_generic(
                                     nsids, base_regs, base_pend, nmask,
-                                    visited, append, ndepth, violations,
-                                    max_states)
-                                if stop:
+                                    visited, append, ndepth, max_states)
+                                if stop is not None:
                                     return (edges, pruned,
-                                            violations, idx)
+                                            None if stop is _FULL else stop,
+                                            idx)
                     else:
                         slot = br_slot[b]
                         nsid = br_write_next[b]
@@ -455,8 +457,7 @@ class StateSpaceEngine:
                                 old = visited_get(nfp)
                                 if old is None:
                                     if len(visited) >= max_states:
-                                        return (edges, pruned,
-                                                violations, idx)
+                                        return edges, pruned, None, idx
                                     visited[nfp] = nmask
                                 elif old & nmask != old:
                                     nmask_m = old & nmask
@@ -474,7 +475,7 @@ class StateSpaceEngine:
                                 if nfp in visited:
                                     continue
                                 if len(visited) >= max_states:
-                                    return edges, pruned, violations, idx
+                                    return edges, pruned, None, idx
                                 visited.add(nfp)
                             nsids = sids[:pid] + (nsid,) + sids[pid + 1:]
                             nregs = regs[:slot] + (wvid,) \
@@ -482,9 +483,8 @@ class StateSpaceEngine:
                             if state_out[nsid] >= 0:
                                 msg = self.check_state(nsids, ndepth)
                                 if msg is not None:
-                                    violations.append(
-                                        (msg, nsids, nregs, pend))
-                                    return edges, pruned, violations, idx
+                                    return (edges, pruned,
+                                            (msg, nsids, nregs, pend), idx)
                             append((nsids, nregs, pend, nfp, nmask))
                         else:
                             nsids = sids[:pid] + (nsid,) + sids[pid + 1:]
@@ -499,17 +499,19 @@ class StateSpaceEngine:
                                     + base_regs[slot + 1:]
                             stop = self._add_generic(
                                 nsids, nregs, npend, nmask,
-                                visited, append, ndepth, violations,
-                                max_states)
-                            if stop:
-                                return edges, pruned, violations, idx
-        return edges, pruned, violations, None
+                                visited, append, ndepth, max_states)
+                            if stop is not None:
+                                return (edges, pruned,
+                                        None if stop is _FULL else stop,
+                                        idx)
+        return edges, pruned, None, None
 
     def _add_generic(self, nsids, nregs, npend, nmask, visited, append,
-                     ndepth, violations, max_states) -> bool:
-        """Slow-path add: canonicalize, key, dedup, check.  True = stop
-        (either a violation was recorded or the state budget refused the
-        addition — the caller's ``violations`` list disambiguates)."""
+                     ndepth, max_states) -> Optional[Tuple]:
+        """Slow-path add: canonicalize, key, dedup, check.  Returns
+        ``None`` to go on, :data:`_FULL` when the state budget refused
+        the state, or the packed ``(message, sids, regs, pend)`` record
+        of the violation it found."""
         if self.group is not None:
             nsids, nregs, npend = self.group.canonical(nsids, nregs, npend)
         key = self.key_of(nsids, nregs, npend)
@@ -517,27 +519,26 @@ class StateSpaceEngine:
             old = visited.get(key)
             if old is None:
                 if len(visited) >= max_states:
-                    return True
+                    return _FULL
                 visited[key] = nmask
             elif old & nmask != old:
                 merged = old & nmask
                 visited[key] = merged
                 append((nsids, nregs, npend, key, merged))
-                return False
+                return None
             else:
-                return False
+                return None
         else:
             if key in visited:
-                return False
+                return None
             if len(visited) >= max_states:
-                return True
+                return _FULL
             visited.add(key)
         msg = self.check_state(nsids, ndepth)
         if msg is not None:
-            violations.append((msg, nsids, nregs, npend))
-            return True
+            return (msg, nsids, nregs, npend)
         append((nsids, nregs, npend, key, nmask))
-        return False
+        return None
 
 
 def explore_fast(
@@ -639,12 +640,12 @@ def explore_fast(
                 truncated_by = "depth"
                 break
             next_items: List[Tuple] = []
-            lv_edges, lv_pruned, viols, stopped = engine.expand_level(
-                level, visited, next_items, depth, max_states)
+            lv_edges, lv_pruned, violation_rec, stopped = \
+                engine.expand_level(level, visited, next_items, depth,
+                                    max_states)
             edges += lv_edges
             pruned += lv_pruned
-            if viols:
-                violation_rec = viols[0]
+            if violation_rec is not None:
                 frontier_items = next_items
                 break
             if stopped is not None:

@@ -56,22 +56,11 @@ class UnknownEngineError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class EngineInfo:
-    """One registered backend and what it can do.
-
-    ``batch_shape`` names the execution granularity: ``"single"``
-    engines step one run at a time, ``"lockstep"`` engines advance
-    whole mega-batches per Python-level operation
-    (:data:`repro.ir.BATCH_CHUNK` runs), ``"graph"`` engines
-    materialize a :class:`~repro.checker.explorer.ConfigGraph`, and
-    ``"level"`` engines stream level-synchronous frontiers without a
-    graph.
-    """
+    """One registered backend and what it can do."""
 
     name: str
     kind: str
     summary: str
-    #: Execution granularity: "single" | "lockstep" | "graph" | "level".
-    batch_shape: str = "single"
     #: Supports regular/safe register semantics (all built-ins do).
     weak_memory: bool = True
     #: Checker only: supports the verified symmetry/POR reductions
@@ -171,26 +160,25 @@ register_engine(EngineInfo(
     summary=("seed kernel verbatim: immutable Configuration per step; "
              "the baseline every other engine is differential-tested "
              "against"),
-    batch_shape="single", standalone=True))
+    standalone=True))
 register_engine(EngineInfo(
     name="fast", kind=SIM,
     summary=("interpreted kernel with mutable buffers and a shared "
              "TransitionCache (docs/PERFORMANCE.md)"),
-    batch_shape="single", standalone=True, default=True))
+    standalone=True, default=True))
 register_engine(EngineInfo(
     name="vector", kind=SIM,
     summary=("compiled table IR stepping lockstep mega-batches "
              "(docs/IR.md); raises IRUnsupportedError outside the "
-             "supported matrix"),
-    batch_shape="lockstep"))
+             "supported matrix")))
 
 register_engine(EngineInfo(
     name="objects", kind=CHECKER,
     summary=("BFS over rich Configuration objects, materializing the "
              "ConfigGraph"),
-    batch_shape="graph", default=True))
+    default=True))
 register_engine(EngineInfo(
     name="fingerprints", kind=CHECKER,
     summary=("scalable fingerprinted state-space engine with verified "
              "symmetry/POR, run in process (docs/CHECKER.md)"),
-    batch_shape="level", reductions=True))
+    reductions=True))

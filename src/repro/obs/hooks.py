@@ -52,7 +52,19 @@ counted by the loop in integer locals.  Run-level and cold events
 reach every sink as calls.  The reference engine, vector replay and
 journal replay deliver the per-step events to every sink; a tally
 sink's fold must leave it exactly as those events would have.
-:func:`split_sinks` sorts a sink tuple once per simulation.
+
+**Transition sinks.**  A per-step sink that overrides
+:meth:`BaseSink.on_transition` — in this package only
+:class:`~repro.obs.journal.JsonlJournal` — takes each fast-engine step
+as one call naming the memoized transition it took, instead of the
+``sched``, ``coin_flip``, ``read``/``write``, ``decision`` and
+``step`` events; cold events (``read_choices``, ``crash``) and the
+run-level ones still arrive as calls.  Elsewhere it is fed events like
+any per-step sink.
+
+A hub sends each event only to the sinks that override its
+:class:`BaseSink` no-op, so a sink pays for the events it records and
+no others.  :func:`split_sinks` sorts a sink tuple once per simulation.
 
 Timing is pull-based: the kernel only reaches for ``perf_counter`` when
 some attached sink sets ``wants_timing = True`` (in this package, only
@@ -138,6 +150,22 @@ class BaseSink:
         """The per-step events of one fast-engine loop call, folded
         (``per_step = False`` sinks only)."""
 
+    def on_transition(self, index: int, pid: int, entry, branch: int,
+                      result: Hashable, outcome,
+                      activation: int) -> None:
+        """One fast-engine step, as the memoized transition it took.
+
+        A sink that overrides this gets it in place of the step's
+        per-step events.  ``entry`` is the processor's
+        :class:`~repro.sim.transitions.CachedTransition` and ``branch``
+        the branch taken (a coin flip was sampled iff ``entry.weights``
+        is not ``None``); ``result`` is the value read (``None`` for a
+        write); ``outcome`` is the
+        :class:`~repro.sim.transitions.Outcome` the step took, whose
+        ``memo`` slot the sink may fill; ``activation`` is ``pid``'s
+        activation count after the step.
+        """
+
 
 class RunTally:
     """What one call of the fast engine's step loop did, as counts.
@@ -180,77 +208,104 @@ class RunTally:
         self.last_num_depth = last_num_depth
 
 
+#: The events a hub fans out, each to the sinks that override it.
+_EVENTS = ("run_key", "run_start", "sched", "coin_flip", "read_choices",
+           "read", "write", "decision", "crash", "step", "run_end")
+
+#: Sink class -> the events (``_EVENTS`` names, plus "transition") whose
+#: :class:`BaseSink` no-op it overrides.
+_TAKEN: Dict[type, frozenset] = {}
+
+
+def _taken(sink: BaseSink) -> frozenset:
+    """The events ``sink``'s class overrides (its methods decide, not
+    attributes set on the instance)."""
+    cls = type(sink)
+    taken = _TAKEN.get(cls)
+    if taken is None:
+        taken = _TAKEN[cls] = frozenset([
+            event for event in _EVENTS + ("transition",)
+            if getattr(cls, "on_" + event, None)
+            not in (None, getattr(BaseSink, "on_" + event))])
+    return taken
+
+
 class ObsHub:
     """Fans kernel events out to a tuple of sinks.
 
     The kernel holds either ``None`` (nothing attached — the fast path)
-    or one hub.  Hub methods are plain loops: with one sink attached
-    the cost is one extra call per event, and sinks are free to be as
-    cheap or expensive as they like.
+    or one hub.  Hub methods are plain loops over the sinks that
+    override the event (chosen once, here): a sink costs one call per
+    event it records, and the events it leaves to the :class:`BaseSink`
+    no-ops cost it nothing.
     """
 
-    __slots__ = ("sinks", "timing")
+    __slots__ = ("sinks", "timing", "_timed") + tuple(
+        "_" + event for event in _EVENTS)
 
     def __init__(self, sinks: Iterable[BaseSink]) -> None:
         self.sinks: Tuple[BaseSink, ...] = tuple(sinks)
-        self.timing: bool = any(
-            getattr(s, "wants_timing", False) for s in self.sinks
-        )
+        taken = [_taken(s) for s in self.sinks]
+        for event in _EVENTS:
+            setattr(self, "_" + event, tuple([
+                s for s, t in zip(self.sinks, taken) if event in t]))
+        self._timed = tuple([s for s in self.sinks
+                             if getattr(s, "wants_timing", False)])
+        self.timing: bool = bool(self._timed)
 
     def __len__(self) -> int:
         return len(self.sinks)
 
     def run_key(self, root_seed: int, run_index: int) -> None:
-        for s in self.sinks:
+        for s in self._run_key:
             s.on_run_key(root_seed, run_index)
 
     def run_start(self, protocol_name: str, n_processes: int,
                   inputs: Tuple[Hashable, ...]) -> None:
-        for s in self.sinks:
+        for s in self._run_start:
             s.on_run_start(protocol_name, n_processes, inputs)
 
     def sched(self, consults: int) -> None:
-        for s in self.sinks:
+        for s in self._sched:
             s.on_sched(consults)
 
     def coin_flip(self, pid: int, n_branches: int) -> None:
-        for s in self.sinks:
+        for s in self._coin_flip:
             s.on_coin_flip(pid, n_branches)
 
     def read_choices(self, pid: int, register: str, n_choices: int,
                      chosen: Hashable) -> None:
-        for s in self.sinks:
+        for s in self._read_choices:
             s.on_read_choices(pid, register, n_choices, chosen)
 
     def read(self, pid: int, register: str, value: Hashable) -> None:
-        for s in self.sinks:
+        for s in self._read:
             s.on_read(pid, register, value)
 
     def write(self, pid: int, register: str, value: Hashable) -> None:
-        for s in self.sinks:
+        for s in self._write:
             s.on_write(pid, register, value)
 
     def decision(self, pid: int, value: Hashable, activation: int) -> None:
-        for s in self.sinks:
+        for s in self._decision:
             s.on_decision(pid, value, activation)
 
     def crash(self, pid: int, index: int) -> None:
-        for s in self.sinks:
+        for s in self._crash:
             s.on_crash(pid, index)
 
     def step(self, index: int, pid: int, op, result: Hashable,
              decided: Optional[Hashable]) -> None:
-        for s in self.sinks:
+        for s in self._step:
             s.on_step(index, pid, op, result, decided)
 
     def run_end(self, result) -> None:
-        for s in self.sinks:
+        for s in self._run_end:
             s.on_run_end(result)
 
     def phase_time(self, phase: str, seconds: float) -> None:
-        for s in self.sinks:
-            if getattr(s, "wants_timing", False):
-                s.on_phase_time(phase, seconds)
+        for s in self._timed:
+            s.on_phase_time(phase, seconds)
 
 
 def make_hub(sinks: Optional[Sequence[BaseSink]]) -> Optional[ObsHub]:
@@ -260,24 +315,45 @@ def make_hub(sinks: Optional[Sequence[BaseSink]]) -> Optional[ObsHub]:
     return ObsHub(sinks)
 
 
+#: The last :func:`split_sinks` answer and the sinks tuple it was for.
+#: A runner builds one simulation per run, all from one tuple, and hubs
+#: keep no state of their own, so its runs share one split.
+_last_split: Optional[tuple] = None
+
+
 def split_sinks(sinks: Optional[Sequence[BaseSink]], fold: bool
                 ) -> Tuple[Optional[ObsHub], Optional[ObsHub],
+                           Optional[Tuple[BaseSink, ...]],
                            Optional[Tuple[BaseSink, ...]]]:
-    """``(hub, step_hub, tally_sinks)`` for a simulation's sinks.
+    """``(hub, step_hub, tally_sinks, transition_sinks)`` for a
+    simulation's sinks.
 
     ``hub`` fans run-level and cold events out to every sink;
     ``step_hub`` carries the per-step events.  With ``fold`` (the fast
     engine) sinks declaring ``per_step = False`` leave the step hub
-    and are returned as ``tally_sinks``; otherwise every sink is
-    per-step and ``tally_sinks`` is ``None``.
+    and are returned as ``tally_sinks``, and sinks overriding
+    :meth:`BaseSink.on_transition` leave it as ``transition_sinks``;
+    otherwise every sink is per-step and both are ``None``.
     """
+    global _last_split
     if not sinks:
-        return None, None, None
+        return None, None, None, None
+    last = _last_split
+    if last is not None and last[0] is sinks and last[1] == fold:
+        return last[2]
     hub = ObsHub(sinks)
+    split = hub, hub, None, None
     if fold:
         folded = tuple([s for s in hub.sinks
                         if not getattr(s, "per_step", True)])
-        if folded:
-            step = [s for s in hub.sinks if getattr(s, "per_step", True)]
-            return hub, (ObsHub(step) if step else None), folded
-    return hub, hub, None
+        moved = tuple([s for s in hub.sinks
+                       if getattr(s, "per_step", True)
+                       and "transition" in _taken(s)])
+        if folded or moved:
+            step = [s for s in hub.sinks if getattr(s, "per_step", True)
+                    and "transition" not in _taken(s)]
+            split = (hub, (ObsHub(step) if step else None),
+                     folded or None, moved or None)
+    if type(sinks) is tuple:
+        _last_split = (sinks, fold, split)
+    return split

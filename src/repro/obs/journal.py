@@ -56,7 +56,9 @@ anything else non-serializable falls back to ``repr``.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import operator
 import os
 from typing import (Any, Dict, Hashable, IO, Iterator, List, Optional,
                     Sequence, Tuple, Union)
@@ -73,20 +75,92 @@ SCHEMA_VERSION = 3
 SUPPORTED_VERSIONS = (1, 2, 3)
 
 
+#: Dataclass type -> its field names (``dataclasses.fields`` is slow).
+_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _field_names(cls: type) -> Tuple[str, ...]:
+    names = _FIELDS.get(cls)
+    if names is None:
+        names = _FIELDS[cls] = tuple(
+            f.name for f in dataclasses.fields(cls))
+    return names
+
+
 def _jsonable(value: Any) -> Any:
     """Best-effort structural JSON encoding of a register value."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
+            name: _jsonable(getattr(value, name))
+            for name in _field_names(type(value))
         }
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return repr(value)
+
+
+def _same(a: Any, b: Any) -> bool:
+    """Does ``b`` encode exactly as ``a`` does?  ``False`` when unsure.
+
+    Values that compare equal can encode differently (``True``, ``1``
+    and ``1.0``; ``0.0`` and ``-0.0``), so types must match at every
+    level.  A memo hit needs this; a ``False`` only costs a re-encode.
+    """
+    if a is b:
+        return True
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is str or cls is int or cls is bool:
+        return a == b
+    if cls is float:
+        return repr(a) == repr(b)
+    if cls is tuple or cls is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if dataclasses.is_dataclass(cls):
+        return all([_same(getattr(a, name), getattr(b, name))
+                    for name in _field_names(cls)])
+    return False
+
+
+#: ``json.dumps(obj, separators=(",", ":"), sort_keys=True)``, built
+#: once rather than per call.
+_dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+def step_format(pid: int, op, result: Hashable,
+                decided: Optional[Hashable], coin_flip: bool) -> str:
+    """The text of one ``step`` line, as a ``%``-format.
+
+    ``step_format(...) % (lead, index)`` is the line ``_dumps`` makes of
+    the whole event: every key but the per-step ``i``, ``act`` and
+    ``alts`` is placed here in sorted order, its value encoded by
+    ``_jsonable`` and ``_dumps``, and ``lead`` is the ``"act":A,`` /
+    ``"alts":N,`` text that sorts ahead of all of them (empty on most
+    steps).  Both journal feeds — :meth:`JsonlJournal.on_step` and the
+    memoized :meth:`JsonlJournal.on_transition` — encode steps here.
+    """
+    # "cf" < "dec" < "i" < "op" < every key of ``tail``.
+    head = '"cf":true,' if coin_flip else ""
+    if decided is not None:
+        head += '"dec":' + _dumps(_jsonable(decided)) + ","
+    tail: Dict[str, Any] = {"t": "step", "pid": pid}
+    if isinstance(op, ReadOp):
+        tail["op"] = "read"
+        tail["reg"] = op.register
+        tail["result"] = _jsonable(result)
+    elif isinstance(op, WriteOp):
+        tail["op"] = "write"
+        tail["reg"] = op.register
+        tail["value"] = _jsonable(op.value)
+    else:  # pragma: no cover - no third op kind exists
+        tail["op"] = repr(op)
+    return ("{%s" + head.replace("%", "%%") + '"i":%d,'
+            + _dumps(tail)[1:].replace("%", "%%") + "\n")
 
 
 class JsonlJournal(BaseSink):
@@ -112,6 +186,13 @@ class JsonlJournal(BaseSink):
     The journal never buffers events in Python; memory use is O(1) in
     run length.  One journal may span a whole batch of runs —
     ``run_start`` / ``run_end`` records delimit the runs.
+
+    Under the fast engine the journal is a transition sink
+    (:meth:`on_transition`): it encodes each transition outcome's step
+    text once, keeps it in the outcome's memo slot, and writes every
+    later step through that outcome with one ``%`` format.  Other
+    engines feed it per-step events, encoded through the same
+    :func:`step_format`.
     """
 
     def __init__(self, target: Union[str, IO[str]],
@@ -128,26 +209,41 @@ class JsonlJournal(BaseSink):
             self._fh = target
             self._owns_fh = False
         self._closed = False
-        self._since_flush = 0
         self._flush_every = max(1, flush_every)
+        self._flush_at = self._flush_every
         self.events_written = 0
         self.memory = memory
-        self._write({"t": "journal", "v": SCHEMA_VERSION, "mem": memory})
-        # Step events are assembled across several hooks (coin flip,
-        # op, decision all belong to one step); this scratch dict
-        # carries the in-flight step.
+        # The in-flight step's per-step keys: "alts" (a weak-memory
+        # read's fan-out) and, fed per-step events, "cf", "dec", "act".
         self._pending: Dict[str, Any] = {}
+        # (protocol, n, inputs, line) of the last run_start written.
+        self._start: Optional[tuple] = None
+        self._write({"t": "journal", "v": SCHEMA_VERSION, "mem": memory})
 
     # -- plumbing ------------------------------------------------------
 
-    def _write(self, obj: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(obj, separators=(",", ":"),
-                                  sort_keys=True) + "\n")
+    def _put(self, line: str) -> None:
+        self._fh.write(line)
         self.events_written += 1
-        self._since_flush += 1
-        if self._since_flush >= self._flush_every:
-            self._fh.flush()
-            self._since_flush = 0
+        if self.events_written >= self._flush_at:
+            self._flush()
+
+    def _flush(self) -> None:
+        self._fh.flush()
+        self._flush_at = self.events_written + self._flush_every
+
+    def _write(self, obj: Dict[str, Any]) -> None:
+        self._put(_dumps(obj) + "\n")
+
+    def _lead(self, activation: Optional[int]) -> str:
+        """The ``"act"`` / ``"alts"`` text of the in-flight step; clears
+        the step's pending keys."""
+        lead = "" if activation is None else '"act":%d,' % activation
+        alts = self._pending.get("alts")
+        if alts is not None:
+            lead += '"alts":%d,' % alts
+        self._pending = {}
+        return lead
 
     def close(self) -> None:
         """Finalize the journal.
@@ -191,12 +287,19 @@ class JsonlJournal(BaseSink):
 
     def on_run_start(self, protocol_name: str, n_processes: int,
                      inputs: Tuple[Hashable, ...]) -> None:
-        self._write({
-            "t": "run_start",
-            "protocol": protocol_name,
-            "n": n_processes,
-            "inputs": [_jsonable(v) for v in inputs],
-        })
+        # A batch repeats its inputs; equal inputs of another type (1
+        # for True) encode otherwise, so the elements must be identical.
+        last = self._start
+        if last is None or last[0] != protocol_name \
+                or last[1] != n_processes or len(last[2]) != len(inputs) \
+                or not all(map(operator.is_, last[2], inputs)):
+            last = self._start = (protocol_name, n_processes, inputs, _dumps({
+                "t": "run_start",
+                "protocol": protocol_name,
+                "n": n_processes,
+                "inputs": [_jsonable(v) for v in inputs],
+            }) + "\n")
+        self._put(last[3])
 
     def on_coin_flip(self, pid: int, n_branches: int) -> None:
         self._pending["cf"] = True
@@ -208,7 +311,7 @@ class JsonlJournal(BaseSink):
         self._pending["alts"] = n_choices
 
     def on_decision(self, pid: int, value: Hashable, activation: int) -> None:
-        self._pending["dec"] = _jsonable(value)
+        self._pending["dec"] = value
         self._pending["act"] = activation
 
     def on_crash(self, pid: int, index: int) -> None:
@@ -216,51 +319,65 @@ class JsonlJournal(BaseSink):
 
     def on_step(self, index: int, pid: int, op, result: Hashable,
                 decided: Optional[Hashable]) -> None:
-        event: Dict[str, Any] = {"t": "step", "i": index, "pid": pid}
-        if isinstance(op, ReadOp):
-            event["op"] = "read"
-            event["reg"] = op.register
-            event["result"] = _jsonable(result)
-        elif isinstance(op, WriteOp):
-            event["op"] = "write"
-            event["reg"] = op.register
-            event["value"] = _jsonable(op.value)
-        else:  # pragma: no cover - no third op kind exists
-            event["op"] = repr(op)
-        event.update(self._pending)
-        self._pending = {}
-        self._write(event)
+        pending = self._pending
+        fmt = step_format(pid, op, result, pending.get("dec"),
+                          "cf" in pending)
+        self._put(fmt % (self._lead(pending.get("act")), index))
+
+    def on_transition(self, index: int, pid: int, entry, branch: int,
+                      result: Hashable, outcome,
+                      activation: int) -> None:
+        fmt = outcome.memo
+        if fmt is None or (outcome.memo_result is not result
+                           and not _same(outcome.memo_result, result)):
+            # First step through this outcome, or one whose result
+            # compares equal but encodes otherwise: encode and memoize.
+            fmt = outcome.memo = step_format(
+                pid, entry.execs[branch][0], result, outcome.decided,
+                entry.weights is not None)
+            outcome.memo_result = result
+        if outcome.decided is None and not self._pending:
+            self._fh.write(fmt % ("", index))
+        else:
+            self._fh.write(fmt % (self._lead(
+                None if outcome.decided is None else activation), index))
+        self.events_written += 1
+        if self.events_written >= self._flush_at:
+            self._flush()
 
     def on_run_end(self, result) -> None:
-        self._write({
-            "t": "run_end",
-            "completed": bool(result.completed),
-            "steps": result.total_steps,
-            "consults": getattr(result, "sched_consults", 0),
-            "crashed": sorted(result.crashed),
-        })
-        self._fh.flush()
-        self._since_flush = 0
+        self._put(
+            '{"completed":%s,"consults":%d,"crashed":[%s],"steps":%d,'
+            '"t":"run_end"}\n' % (
+                "true" if result.completed else "false",
+                getattr(result, "sched_consults", 0),
+                ",".join(map(str, sorted(result.crashed))),
+                result.total_steps))
+        self._flush()
 
 
 # -- shard concatenation ----------------------------------------------
 
 
-def concatenate_journals(shard_paths: Sequence[str], out_path: str) -> int:
+def concatenate_journals(shards: Sequence[Union[str, bytes]],
+                         out_path: str) -> int:
     """Concatenate journal shards into one journal with a single header.
 
     Used by the parallel batch engine: each worker streams its shard of
     runs to its own journal file, and this stitches the shards back
     together in shard order — which is global run order, because shards
-    are contiguous index ranges.  Every shard's header line is
-    validated (and dropped, except that ``out_path`` gets one fresh
-    header), and event lines are copied verbatim, so the result is
-    byte-identical to the journal a serial run over the same index
-    range would have written.
+    are contiguous index ranges.  A shard is a path, or the bytes of a
+    complete shard journal (a stored shard's payload).  Every shard's
+    header line is validated (and dropped, except that ``out_path``
+    gets one fresh header), and the rest of each shard is copied
+    verbatim in bulk, so the result is byte-identical to the journal a
+    serial run over the same index range would have written.
 
     Returns the total line count of ``out_path`` (header included),
     matching the ``events_written`` a live :class:`JsonlJournal` would
-    report for the same stream.
+    report for the same stream.  The count is of newlines:
+    :class:`JsonlJournal` ends every event with one and never writes a
+    blank line.
 
     Every shard must carry the *same* header (version and memory-
     semantics tag): shards of one batch all ran under one
@@ -270,40 +387,46 @@ def concatenate_journals(shard_paths: Sequence[str], out_path: str) -> int:
     events = 0
     expected_header: Optional[Dict[str, Any]] = None
     tmp_path = out_path + ".tmp"
-    with open(tmp_path, "w") as out:
-        for path in shard_paths:
-            with open(path) as fh:
+    with open(tmp_path, "wb") as out:
+        for k, shard in enumerate(shards):
+            if isinstance(shard, bytes):
+                name = f"stored shard {k}"
+                fh: IO[bytes] = io.BytesIO(shard)
+            else:
+                name = shard
+                fh = open(shard, "rb")
+            with fh:
                 first = fh.readline()
                 if not first:
-                    raise ValueError(f"{path}: empty journal shard")
+                    raise ValueError(f"{name}: empty journal shard")
                 header = json.loads(first)
                 if header.get("t") != "journal":
-                    raise ValueError(f"{path}: missing journal header line")
+                    raise ValueError(f"{name}: missing journal header line")
                 if header.get("v") not in SUPPORTED_VERSIONS:
                     raise ValueError(
-                        f"{path}: unsupported journal version "
+                        f"{name}: unsupported journal version "
                         f"{header.get('v')!r}"
                     )
                 if expected_header is None:
                     expected_header = header
-                    out.write(json.dumps(header, separators=(",", ":"),
-                                         sort_keys=True) + "\n")
+                    out.write(_dumps(header).encode() + b"\n")
                     events += 1
                 elif header != expected_header:
                     raise ValueError(
-                        f"{path}: shard header {header!r} differs from "
+                        f"{name}: shard header {header!r} differs from "
                         f"{expected_header!r}; shards of one batch must "
                         f"share version and memory semantics"
                     )
-                for line in fh:
-                    if line.strip():
-                        out.write(line)
-                        events += 1
+                while True:
+                    chunk = fh.read(1 << 20)
+                    if not chunk:
+                        break
+                    out.write(chunk)
+                    events += chunk.count(b"\n")
         if expected_header is None:
             # No shards: an empty batch still yields a valid journal.
-            out.write(json.dumps(
-                {"t": "journal", "v": SCHEMA_VERSION, "mem": "atomic"},
-                separators=(",", ":"), sort_keys=True) + "\n")
+            out.write(_dumps({"t": "journal", "v": SCHEMA_VERSION,
+                              "mem": "atomic"}).encode() + b"\n")
             events += 1
         out.flush()
         os.fsync(out.fileno())

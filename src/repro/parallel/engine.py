@@ -61,7 +61,7 @@ import pickle
 import sys
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.engines import resolve_sim_engine
 from repro.faults import corrupt_file, trigger_worker_fault
@@ -703,32 +703,35 @@ def run_parallel(
 
     # -- deterministic merge, in shard order, minus quarantined shards -
     results: List[ShardResult] = []
-    journal_parts: List[str] = []
+    # Shard journals to stitch: the executed shards' files, and the
+    # loaded shards' stored bytes.
+    journal_parts: List[Union[str, bytes]] = []
     for k, (start, stop) in enumerate(shards):
         part = (shard_journal_path(journal_path, k)
                 if journal_path is not None else None)
-        if k in quarantined:
-            # Remove any partial journal litter the failed attempts
-            # left so a later sweep cannot trip over it.
+        payload = cached.get(k)
+        if k in quarantined or payload is not None:
+            # Nothing is read from this shard's file: remove any
+            # journal litter failed or interrupted attempts left so a
+            # later sweep cannot trip over it.
             for stray in ((part, part + ".tmp") if part else ()):
                 if os.path.exists(stray):
                     os.remove(stray)
+        if k in quarantined:
             continue
-        payload = cached.get(k)
         if payload is None:
             results.append(completed[k])
+            if part is not None:
+                journal_parts.append(part)
         else:
             # A loaded shard is indistinguishable from an executed one:
-            # its journal segment is re-materialized for the stitch.
+            # its journal segment is stitched from the stored bytes.
             results.append(ShardResult(
                 start=start, stop=stop, runs=payload.runs,
                 metrics=payload.metrics,
                 journal_events=payload.journal_events))
             if part is not None:
-                with open(part, "wb") as fh:
-                    fh.write(payload.journal_bytes)
-        if part is not None:
-            journal_parts.append(part)
+                journal_parts.append(payload.journal_bytes)
 
     runs = [r for shard in results for r in shard.runs]
     if with_metrics:
@@ -739,7 +742,8 @@ def run_parallel(
     if journal_path is not None and (journal_parts or not quarantined):
         journal_events = concatenate_journals(journal_parts, journal_path)
         for part in journal_parts:
-            os.remove(part)
+            if isinstance(part, str):
+                os.remove(part)
 
     report.quarantined = sorted(quarantined.values())
     return BatchStats(

@@ -319,7 +319,8 @@ class Simulation:
         "crashed", "sched_consults", "read_resolutions", "trace",
         "_fast", "_cache", "_states", "_registers", "_config_cache",
         "_memory", "_mem_atomic", "_read_resolver",
-        "_hub", "_obs", "_tallies", "_strict", "_rng", "_proc_rngs", "_view",
+        "_hub", "_obs", "_tallies", "_trans", "_strict", "_rng",
+        "_proc_rngs", "_view",
         "_alive", "_enabled",
     )
 
@@ -401,9 +402,11 @@ class Simulation:
         self.sched_consults = 0
         self.trace: Optional[Trace] = Trace() if record_trace else None
         # ``_hub`` reaches every sink (run-level and cold events),
-        # ``_obs`` the per-step ones; ``_tallies`` holds the fast
-        # engine's run-tally sinks (None when there are none).
-        self._hub, self._obs, self._tallies = split_sinks(sinks, fast)
+        # ``_obs`` the per-step ones; ``_tallies`` and ``_trans`` hold
+        # the fast engine's run-tally and transition sinks (None when
+        # there are none).
+        self._hub, self._obs, self._tallies, self._trans = split_sinks(
+            sinks, fast)
         self._strict = strict
         self._rng = rng
         self._proc_rngs = rng.children("proc", n)
@@ -485,7 +488,7 @@ class Simulation:
     def attach_sink(self, sink: BaseSink) -> None:
         """Attach an observability sink to an already-built simulation."""
         existing = self._hub.sinks if self._hub is not None else ()
-        self._hub, self._obs, self._tallies = split_sinks(
+        self._hub, self._obs, self._tallies, self._trans = split_sinks(
             existing + (sink,), self._fast)
 
     def crash(self, pid: int) -> None:
@@ -731,7 +734,8 @@ class Simulation:
         hub-only sites (the sched emission with the scheduler clocks,
         the coin-flip emission, the weak-memory clocks) test ``obs``,
         and one ``observed`` test at the end of the step covers hub
-        emissions, phase times, run tallies and trace records.  Clock
+        emissions, transition-sink calls, phase times, run tallies and
+        trace records.  Clock
         reads (``timing``) nest inside those tests, so a bare run never
         reads it.  The bare path also keeps its own checks few: one
         loop bound (``limit``) stands for the step budget, the
@@ -742,9 +746,11 @@ class Simulation:
         is part of the journal schema contract — sched, coin-flip,
         read_choices (from :meth:`_resolve_read`), read/write,
         decision, step — and :func:`repro.obs.journal.replay_journal`
-        re-dispatches in the same order.  Run-tally sinks get the
-        call's counts once, on exit (:meth:`_fold_tally`), even when
-        the loop raises.
+        re-dispatches in the same order.  Transition sinks get each
+        step as one call with the memoized outcome the step took
+        (:meth:`repro.obs.hooks.BaseSink.on_transition`).  Run-tally
+        sinks get the call's counts once, on exit (:meth:`_fold_tally`),
+        even when the loop raises.
         """
         n = self.protocol.n_processes
         cache = self._cache
@@ -763,6 +769,7 @@ class Simulation:
         decisions = self.decisions
         obs = self._obs
         tallies = self._tallies
+        trans = self._trans
         trace = self.trace
         # Any sink (per-step or tally) means a hub; or a trace.
         observed = self._hub is not None or trace is not None
@@ -895,13 +902,13 @@ class Simulation:
                 except KeyError:
                     outcome = resolve_outcome(pid, states[pid], entry,
                                               branch_index, result)
-                states[pid] = outcome[0]
-                cur_entries[pid] = outcome[2]
+                states[pid] = outcome.state
+                cur_entries[pid] = outcome.next_entry
                 self._config_cache = None
                 activations[pid] += 1
                 step_index += 1
                 self.step_index = step_index
-                decided = outcome[1]
+                decided = outcome.decided
                 if decided is not None:
                     self._record_decision(pid, decided)
                     if not self._enabled:
@@ -920,13 +927,19 @@ class Simulation:
                         if decided is not None:
                             obs.decision(pid, decided, activations[pid])
                         obs.step(step_index - 1, pid, op, result, decided)
-                        if timing:
-                            if given is None:
-                                obs.phase_time("sched", t_step - t_sched)
-                            if not atomic:
-                                obs.phase_time("memory", t_mem)
-                            obs.phase_time("transition", t_trans)
-                            obs.phase_time("step", perf_counter() - t_step)
+                    if trans is not None:
+                        activation = activations[pid]
+                        for sink in trans:
+                            sink.on_transition(step_index - 1, pid, entry,
+                                               branch_index, result,
+                                               outcome, activation)
+                    if timing:
+                        if given is None:
+                            obs.phase_time("sched", t_step - t_sched)
+                        if not atomic:
+                            obs.phase_time("memory", t_mem)
+                        obs.phase_time("transition", t_trans)
+                        obs.phase_time("step", perf_counter() - t_step)
                     if tallies is not None:
                         if is_read:
                             unread[slot] = False

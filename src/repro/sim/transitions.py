@@ -65,6 +65,31 @@ from repro.sim.ops import ReadOp, WriteOp
 from repro.sim.process import Automaton
 
 
+class Outcome:
+    """The memoized result of one branch of one ``(pid, state)``.
+
+    ``state`` and ``decided`` are what :meth:`Automaton.observe` and
+    :meth:`Automaton.output` produce for the branch's operation result;
+    ``next_entry`` is the successor state's own
+    :class:`CachedTransition` (``None`` once decided).  ``memo`` starts
+    ``None``: a transition sink
+    (:meth:`repro.obs.hooks.BaseSink.on_transition`) may keep what it
+    derives from the outcome there, with the result object it derived
+    it from in ``memo_result`` — results that compare equal share one
+    outcome (``True``, ``1`` and ``1.0`` do), so a memo that depends on
+    the result's exact type must check that first.
+    """
+
+    __slots__ = ("state", "decided", "next_entry", "memo", "memo_result")
+
+    def __init__(self, state, decided, next_entry) -> None:
+        self.state = state
+        self.decided = decided
+        self.next_entry = next_entry
+        self.memo = None
+        self.memo_result = None
+
+
 class CachedTransition:
     """The memoized transition table of one ``(pid, state)`` pair.
 
@@ -74,12 +99,10 @@ class CachedTransition:
     :meth:`~repro.sim.rng.ReplayableRng.choice_index` so the sum is not
     recomputed per flip).  ``execs[i]`` is branch *i*'s execution plan
     ``(op, is_read, slot, write_value)``; ``outcomes[i]`` maps the
-    operation result to the triple ``(new_state, decided, next_entry)``
-    that :meth:`Automaton.observe` / :meth:`Automaton.output` produce
-    for it — ``next_entry`` is the successor state's own
-    :class:`CachedTransition` (``None`` once decided), letting the
-    kernel's inner loop follow transitions pointer-to-pointer instead
-    of re-hashing the state every step.  ``depths[i]`` is the ``num``
+    operation result to its :class:`Outcome`, whose ``next_entry`` lets
+    the kernel's inner loop follow transitions pointer-to-pointer
+    instead of re-hashing the state every step.  ``depths[i]`` is the
+    ``num``
     depth of branch *i*'s written value (``None`` for reads and for
     values without one).
     """
@@ -94,7 +117,7 @@ class CachedTransition:
         self.execs = execs
         self.depths = tuple(None if is_read else num_depth_of(value)
                             for _, is_read, _, value in execs)
-        self.outcomes: Tuple[Dict[Hashable, tuple], ...] = tuple(
+        self.outcomes: Tuple[Dict[Hashable, Outcome], ...] = tuple(
             {} for _ in branches
         )
 
@@ -183,8 +206,8 @@ class TransitionCache:
 
     def outcome(self, pid: int, state: Hashable,
                 entry: CachedTransition, branch_index: int,
-                result: Hashable) -> tuple:
-        """Memoized ``(new_state, decided, next_entry)`` for one branch."""
+                result: Hashable) -> Outcome:
+        """The memoized :class:`Outcome` of one branch and result."""
         table = entry.outcomes[branch_index]
         out = table.get(result)
         if out is None:
@@ -193,7 +216,7 @@ class TransitionCache:
             decided = self.protocol.output(pid, new_state)
             next_entry = None if decided is not None \
                 else self.entry(pid, new_state)
-            out = (new_state, decided, next_entry)
+            out = Outcome(new_state, decided, next_entry)
             table[result] = out
         return out
 

@@ -41,10 +41,7 @@ class TestRegistry:
         assert resolve_engine(SIM, "reference").standalone
         assert resolve_engine(SIM, "fast").standalone
         assert not resolve_engine(SIM, "vector").standalone
-        assert resolve_engine(SIM, "vector").batch_shape == "lockstep"
-        assert resolve_engine(CHECKER, "objects").batch_shape == "graph"
-        fp = resolve_engine(CHECKER, "fingerprints")
-        assert fp.batch_shape == "level" and fp.reductions
+        assert resolve_engine(CHECKER, "fingerprints").reductions
         assert not resolve_engine(CHECKER, "objects").reductions
 
     def test_duplicate_registration_rejected(self):

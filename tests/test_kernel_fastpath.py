@@ -25,6 +25,7 @@ from repro.core.three_bounded import ThreeBoundedProtocol
 from repro.core.three_unbounded import ThreeUnboundedProtocol
 from repro.core.two_process import TwoProcessProtocol
 from repro.checker.explorer import explore, successors
+from repro.parallel.tasks import ConstantInputs, ProtocolSpec, SchedulerSpec
 from repro.errors import SimulationError
 from repro.obs import (JsonlJournal, MetricsRegistry,
                        TimeAttributionProfiler, Tracer)
@@ -43,6 +44,7 @@ from repro.sim.kernel import Activate, Simulation
 from repro.sim.ops import BOTTOM, ReadOp, WriteOp
 from repro.sim.process import Automaton, Branch, RegisterSpec
 from repro.sim.rng import ReplayableRng
+from repro.sim.runner import ExperimentRunner
 from repro.sim.transitions import TransitionCache
 
 
@@ -221,6 +223,115 @@ def test_journal_bytes_identical(tmp_path):
         assert journals["fast"] == journals["reference"], case
 
 
+# -- journal parity at batch scale --------------------------------------
+
+
+class TypedValuesAutomaton(Automaton):
+    """Two processors whose register values compare equal across types.
+
+    P0 writes values from :attr:`VALUES` (``True == 1 == 1.0`` and
+    ``False == 0 == 0.0 == -0.0``) behind a coin flip; P1 only counts
+    its reads, so reads of equal values of different types land on one
+    memoized transition outcome and only the journal text tells them
+    apart.  That makes the journal's per-outcome memo prove it is
+    type-exact.
+    """
+
+    name = "typed-values"
+    n_processes = 2
+    VALUES = (True, 1, 1.0, False, 0, -0.0, 0.0)
+
+    def registers(self):
+        return [RegisterSpec(name="r", writers=(0,), readers=(1,),
+                             initial=BOTTOM)]
+
+    def initial_state(self, pid, input_value):
+        return 0
+
+    def branches(self, pid, state):
+        if pid == 0:
+            values = self.VALUES
+            return (Branch(0.5, WriteOp("r", values[state % 7])),
+                    Branch(0.5, WriteOp("r", values[(state + 3) % 7])))
+        return (Branch(1.0, ReadOp("r")),)
+
+    def observe(self, pid, state, op, result):
+        return state + 1
+
+    def output(self, pid, state):
+        if state >= (10 if pid == 0 else 12):
+            return "w" if pid == 0 else "r"
+        return None
+
+
+#: name -> (protocol factory, inputs factory).  The typed-values
+#: inputs also compare equal across types, run to run.
+BATCH_PROTOCOLS = dict(
+    {name: (factory, lambda i, rng, inputs=inputs: inputs)
+     for name, (factory, inputs) in PROTOCOLS.items()},
+    typed_values=(lambda: TypedValuesAutomaton(),
+                  lambda i, rng: ((0, 0), (False, 0), (0.0, 0))[i % 3]))
+
+
+def batch_journal(path, protocol_name, engine, sinks=(), n_runs=24):
+    """One ``run_many`` batch on ``engine`` journaled to ``path``: its
+    runs share one transition cache, so later runs hit the memo."""
+    protocol_factory, inputs_factory = BATCH_PROTOCOLS[protocol_name]
+    runner = ExperimentRunner(
+        protocol_factory=protocol_factory,
+        scheduler_factory=lambda rng: RandomScheduler(rng),
+        inputs_factory=inputs_factory,
+        seed=41, sinks=sinks, engine=engine)
+    runner.run_many(n_runs, max_steps=3_000, journal_path=str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("protocol_name", sorted(BATCH_PROTOCOLS))
+def test_batch_journal_bytes_identical(tmp_path, protocol_name):
+    journals = {engine: batch_journal(tmp_path / f"{engine}.jsonl",
+                                      protocol_name, engine)
+                for engine in ("fast", "reference")}
+    assert journals["fast"] == journals["reference"]
+
+
+def test_batch_journal_is_type_exact(tmp_path):
+    journal = batch_journal(tmp_path / "typed.jsonl", "typed_values",
+                            "fast")
+    for text in (b'"result":true,', b'"result":1,', b'"result":1.0,',
+                 b'"result":false,', b'"result":0,', b'"result":-0.0,',
+                 b'"result":0.0,', b'"inputs":[0,0]', b'"inputs":[false,0]',
+                 b'"inputs":[0.0,0]'):
+        assert text in journal, text
+
+
+def test_batch_journal_bytes_identical_beside_other_sinks(tmp_path):
+    journals = {}
+    for engine in ("fast", "reference"):
+        registry, tracer = MetricsRegistry(), Tracer()
+        journals[engine] = batch_journal(
+            tmp_path / f"{engine}.jsonl", "three_unbounded", engine,
+            sinks=(registry, tracer))
+        assert registry.counters["runs"].value == 24
+        assert tracer.spans
+    assert journals["fast"] == journals["reference"]
+
+
+def test_sharded_journal_bytes_identical_to_serial(tmp_path):
+    journals = {}
+    for engine, workers in (("fast", 2), ("fast", 1), ("reference", 1)):
+        runner = ExperimentRunner(
+            protocol_factory=ProtocolSpec("three-unbounded", 3),
+            scheduler_factory=SchedulerSpec("random"),
+            inputs_factory=ConstantInputs(("a", "b", "a")),
+            seed=43, engine=engine)
+        path = tmp_path / f"{engine}_{workers}.jsonl"
+        runner.run_many(40, max_steps=3_000, workers=workers,
+                        journal_path=str(path))
+        journals[engine, workers] = path.read_bytes()
+    assert journals["fast", 2] == journals["fast", 1] \
+        == journals["reference", 1]
+
+
 def test_metrics_identical():
     for case in OBS_CASES:
         pair = observe_pair(case, 23, lambda engine: MetricsRegistry())
@@ -358,10 +469,12 @@ class TestTransitionCache:
         state = protocol.initial_state(0, "a")
         entry = cache.entry(0, state)
         # The initial move is a deterministic write of the input value.
-        new_state, decided, next_entry = cache.outcome(0, state, entry, 0,
-                                                       None)
-        assert decided is None
-        assert next_entry is cache.entry(0, new_state)
+        outcome = cache.outcome(0, state, entry, 0, None)
+        assert outcome.decided is None
+        assert outcome.next_entry is cache.entry(0, outcome.state)
+        # The memo slot is left for transition sinks to fill.
+        assert outcome.memo is None and outcome.memo_result is None
+        assert entry.outcomes[0][None] is outcome
 
     def test_strict_cache_validates_distributions(self):
         class BadProtocol(TwoProcessProtocol):

@@ -257,19 +257,21 @@ class TestSinkDeclarations:
 
     def test_pairs_put_only_the_per_step_sink_on_the_step_hub(self):
         registry, journal_like = MetricsRegistry(), BaseSink()
-        hub, step_hub, tallies = split_sinks((registry, journal_like),
-                                             True)
+        hub, step_hub, tallies, transitions = split_sinks(
+            (registry, journal_like), True)
         assert hub.sinks == (registry, journal_like)
         assert step_hub.sinks == (journal_like,)
         assert tallies == (registry,)
+        assert transitions is None
 
     def test_undeclared_sinks_and_reference_engine_are_per_step(self):
         sink = BaseSink()
-        hub, step_hub, tallies = split_sinks((sink,), True)
-        assert step_hub is hub and tallies is None
+        hub, step_hub, tallies, transitions = split_sinks((sink,), True)
+        assert step_hub is hub and tallies is None and transitions is None
         registry = MetricsRegistry()
-        hub, step_hub, tallies = split_sinks((registry,), False)
-        assert step_hub is hub and tallies is None
+        hub, step_hub, tallies, transitions = split_sinks((registry,),
+                                                          False)
+        assert step_hub is hub and tallies is None and transitions is None
 
     def test_metrics_only_keeps_no_step_hub(self):
         registry = MetricsRegistry()

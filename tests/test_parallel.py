@@ -399,6 +399,23 @@ class TestEdgesAndErrors:
         empty.write_text("")
         with pytest.raises(ValueError, match="empty"):
             concatenate_journals([str(empty)], str(tmp_path / "out.jsonl"))
+        with pytest.raises(ValueError, match="stored shard 0: empty"):
+            concatenate_journals([b""], str(tmp_path / "out.jsonl"))
+
+    def test_concatenate_stitches_stored_bytes_like_files(self, tmp_path,
+                                                          serial):
+        stats, _ = serial
+        shard = open(stats.journal_path, "rb").read()
+        from_files = tmp_path / "files.jsonl"
+        from_bytes = tmp_path / "bytes.jsonl"
+        n = concatenate_journals([stats.journal_path] * 2, str(from_files))
+        assert concatenate_journals([shard, stats.journal_path],
+                                    str(from_bytes)) == n
+        assert from_bytes.read_bytes() == from_files.read_bytes()
+        assert n == 2 * stats.journal_events - 1
+        with pytest.raises(ValueError, match="stored shard 1: missing"):
+            concatenate_journals([shard, b'{"t":"step","i":0}\n'],
+                                 str(tmp_path / "out.jsonl"))
 
 
 class TestSpecs:

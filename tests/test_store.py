@@ -87,7 +87,12 @@ class TestColdWarm:
         base_stats, base_journal, base_metrics = baseline
         store = RunStore(str(tmp_path / "store"))
         sweep(tmp_path, "cold", store=store)
+        # Litter an interrupted sweep can leave where a shard journal
+        # streamed; a loaded shard is stitched from its stored bytes.
+        stale = tmp_path / "warm.jsonl.shard0000"
+        stale.write_text("stale")
         stats, journal, metrics = sweep(tmp_path, "warm", store=store)
+        assert not stale.exists()
         assert stats.store.fully_cached
         assert stats.store.runs_executed == 0
         assert stats.store.hits == N_RUNS // SHARD
