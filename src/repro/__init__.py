@@ -33,7 +33,7 @@ Package map
     measurements against them.
 ``repro.obs``
     Kernel observability: event hooks, streaming metrics (counters /
-    gauges / percentile histograms), JSONL run journals, and the phase-timing
+    gauges / percentile histograms), JSONL run journals, and the run-layer
     profiler — see ``docs/OBSERVABILITY.md``.
 ``repro.spec``
     The canonical :class:`~repro.spec.RunSpec`: one frozen, picklable

@@ -538,9 +538,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             raise SystemExit(str(exc))
     if args.profile and (args.workers > 1 or supervise):
         raise SystemExit("--profile needs --workers 1 "
-                         "(wall-clock phases cannot be attributed "
-                         "across worker processes, which supervised "
-                         "batches always use)")
+                         "(it times the setup and loop layers of runs "
+                         "in this process, and supervised batches "
+                         "always run on worker processes)")
     if args.folded and not args.profile:
         raise SystemExit("--folded needs --profile (it exports the "
                          "profiler's component attribution)")
@@ -617,8 +617,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"under {args.scheduler!r} (seed {args.seed}{sharded})",
     )
     if profiler is not None:
-        print("\nphase timing:")
-        print(profiler.render_phases())
         print("\ntime attribution:")
         print(profiler.render())
         if args.folded:
@@ -814,8 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "scratch after a parameter typo)")
     p.add_argument("--profile", action="store_true",
                    help="attach a time-attribution profiler and print "
-                        "phase wall-times and the scheduler/transition/"
-                        "memory/kernel/hooks split")
+                        "each run's setup/loop wall-time split (for a "
+                        "split inside the loop, use `trace --wall`)")
     p.add_argument("--folded", metavar="PATH", default=None,
                    help="with --profile: write flamegraph-ready folded "
                         "stacks to PATH")

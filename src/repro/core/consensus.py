@@ -124,6 +124,13 @@ def solve(
         if sinks:
             replay_run(vk.compiled, result, rec, sinks, seed, 0)
         return ConsensusOutcome.from_run(result)
+    # Single-run convention: this run's replay key is (seed, 0), so a
+    # span tracer attached here derives the same trace id every call.
+    # It precedes construction, which a profiler times as setup.
+    for sink in sinks:
+        run_key = getattr(sink, "on_run_key", None)
+        if run_key is not None:
+            run_key(seed, 0)
     sim = Simulation(
         protocol,
         inputs,
@@ -134,10 +141,4 @@ def solve(
         engine=engine,
         memory=memory,
     )
-    # Single-run convention: this run's replay key is (seed, 0), so a
-    # span tracer attached here derives the same trace id every call.
-    for sink in sinks:
-        run_key = getattr(sink, "on_run_key", None)
-        if run_key is not None:
-            run_key(seed, 0)
     return ConsensusOutcome.from_run(sim.run(max_steps))

@@ -26,11 +26,9 @@ slow or memory-hungry:
   run's replay key, so a replay produces the identical trace.
 * :mod:`repro.obs.telemetry` — per-shard heartbeats for live batch
   progress (``repro top``); wall-clock only, never part of results.
-* :mod:`repro.obs.profiling` — :class:`TimeAttributionProfiler`, the
-  timing sink: per-phase wall time (scheduler choice / kernel step /
-  protocol transition / memory resolution), attributed to scheduler /
-  transition / memory / kernel / hooks components for folded-stack
-  flamegraphs.
+* :mod:`repro.obs.profiling` — :class:`TimeAttributionProfiler`, a
+  run-level timing sink: each run's wall time split into its ``setup``
+  and ``loop`` layers, for folded-stack flamegraphs.
 * :mod:`repro.obs.export` — Prometheus text, OTLP-style JSON, and
   folded-stack emitters (with strict round-trip parsers).
 """

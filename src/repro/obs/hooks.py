@@ -32,7 +32,6 @@ Event vocabulary (one method per event, mirroring the kernel):
 ``on_crash``        the scheduler fail-stopped ``pid`` before ``index``
 ``on_step``         end of one serialized kernel step
 ``on_run_end``      once per :meth:`Simulation.run` exit
-``on_phase_time``   wall-clock span of one phase (timing sinks only)
 
 ``on_read_choices`` never fires under the default atomic semantics
 (legal sets are singletons and no resolution happens), so sinks
@@ -42,12 +41,14 @@ always did.
 **Per-step and run-tally sinks.**  A sink declares what it needs with
 the class attribute ``per_step``.  Sinks that leave it ``True`` (the
 default, and so every sink that declares nothing) receive each event
-above.  A sink that sets ``per_step = False`` — in this package only
-:class:`~repro.obs.metrics.MetricsRegistry` — is a *run-tally* sink
-under the fast engine: its per-step events (``sched``, ``coin_flip``,
-``read``, ``write``, ``decision``, ``step``) arrive folded into one
-:class:`RunTally` per step-loop call through :meth:`BaseSink.on_run_tally`,
-counted by the loop in integer locals.  Run-level and cold events
+above.  A sink that sets ``per_step = False`` takes no per-step
+events (``sched``, ``coin_flip``, ``read``, ``write``, ``decision``,
+``step``) from the fast engine's loop.  If it overrides
+:meth:`BaseSink.on_run_tally` (:class:`~repro.obs.metrics.MetricsRegistry`
+does) it is a *run-tally* sink: those events arrive folded into one
+:class:`RunTally` per step-loop call, counted by the loop in integer
+locals.  Otherwise (:class:`~repro.obs.profiling.TimeAttributionProfiler`)
+it sees run-level events only.  Run-level and cold events
 (``run_key``, ``run_start``, ``run_end``, ``crash``, ``read_choices``)
 reach every sink as calls.  The reference engine, vector replay and
 journal replay deliver the per-step events to every sink; a tally
@@ -65,11 +66,7 @@ any per-step sink.
 A hub sends each event only to the sinks that override its
 :class:`BaseSink` no-op, so a sink pays for the events it records and
 no others.  :func:`split_sinks` sorts a sink tuple once per simulation.
-
-Timing is pull-based: the kernel only reaches for ``perf_counter`` when
-some attached sink sets ``wants_timing = True`` (in this package, only
-:class:`~repro.obs.profiling.TimeAttributionProfiler` does), so metric
-and journal sinks never pay for clock reads.
+The kernel reads no clock.
 """
 
 from __future__ import annotations
@@ -85,12 +82,9 @@ class BaseSink:
     live objects).
     """
 
-    #: Set to True to make the kernel measure phase wall-times and
-    #: deliver them via :meth:`on_phase_time` (per-step sinks only).
-    wants_timing: bool = False
-
     #: Set to False to take a fast-engine step loop's per-step events
-    #: as one :meth:`on_run_tally` per loop call instead.
+    #: as one :meth:`on_run_tally` per loop call instead (or not at
+    #: all, for a sink that does not override it).
     per_step: bool = True
 
     def on_run_key(self, root_seed: int, run_index: int) -> None:
@@ -142,9 +136,6 @@ class BaseSink:
 
     def on_run_end(self, result) -> None:
         """The run finished; ``result`` is the :class:`RunResult`."""
-
-    def on_phase_time(self, phase: str, seconds: float) -> None:
-        """Wall-clock duration of one ``phase`` (timing sinks only)."""
 
     def on_run_tally(self, tally: "RunTally") -> None:
         """The per-step events of one fast-engine loop call, folded
@@ -212,8 +203,8 @@ class RunTally:
 _EVENTS = ("run_key", "run_start", "sched", "coin_flip", "read_choices",
            "read", "write", "decision", "crash", "step", "run_end")
 
-#: Sink class -> the events (``_EVENTS`` names, plus "transition") whose
-#: :class:`BaseSink` no-op it overrides.
+#: Sink class -> the events (``_EVENTS`` names, plus "transition" and
+#: "run_tally") whose :class:`BaseSink` no-op it overrides.
 _TAKEN: Dict[type, frozenset] = {}
 
 
@@ -224,7 +215,7 @@ def _taken(sink: BaseSink) -> frozenset:
     taken = _TAKEN.get(cls)
     if taken is None:
         taken = _TAKEN[cls] = frozenset([
-            event for event in _EVENTS + ("transition",)
+            event for event in _EVENTS + ("transition", "run_tally")
             if getattr(cls, "on_" + event, None)
             not in (None, getattr(BaseSink, "on_" + event))])
     return taken
@@ -240,7 +231,7 @@ class ObsHub:
     no-ops cost it nothing.
     """
 
-    __slots__ = ("sinks", "timing", "_timed") + tuple(
+    __slots__ = ("sinks",) + tuple(
         "_" + event for event in _EVENTS)
 
     def __init__(self, sinks: Iterable[BaseSink]) -> None:
@@ -249,9 +240,6 @@ class ObsHub:
         for event in _EVENTS:
             setattr(self, "_" + event, tuple([
                 s for s, t in zip(self.sinks, taken) if event in t]))
-        self._timed = tuple([s for s in self.sinks
-                             if getattr(s, "wants_timing", False)])
-        self.timing: bool = bool(self._timed)
 
     def __len__(self) -> int:
         return len(self.sinks)
@@ -303,10 +291,6 @@ class ObsHub:
         for s in self._run_end:
             s.on_run_end(result)
 
-    def phase_time(self, phase: str, seconds: float) -> None:
-        for s in self._timed:
-            s.on_phase_time(phase, seconds)
-
 
 def make_hub(sinks: Optional[Sequence[BaseSink]]) -> Optional[ObsHub]:
     """Build a hub, or ``None`` when there is nothing to notify."""
@@ -330,8 +314,9 @@ def split_sinks(sinks: Optional[Sequence[BaseSink]], fold: bool
 
     ``hub`` fans run-level and cold events out to every sink;
     ``step_hub`` carries the per-step events.  With ``fold`` (the fast
-    engine) sinks declaring ``per_step = False`` leave the step hub
-    and are returned as ``tally_sinks``, and sinks overriding
+    engine) sinks declaring ``per_step = False`` leave the step hub,
+    those among them overriding :meth:`BaseSink.on_run_tally` are
+    returned as ``tally_sinks``, and sinks overriding
     :meth:`BaseSink.on_transition` leave it as ``transition_sinks``;
     otherwise every sink is per-step and both are ``None``.
     """
@@ -344,14 +329,15 @@ def split_sinks(sinks: Optional[Sequence[BaseSink]], fold: bool
     hub = ObsHub(sinks)
     split = hub, hub, None, None
     if fold:
-        folded = tuple([s for s in hub.sinks
-                        if not getattr(s, "per_step", True)])
-        moved = tuple([s for s in hub.sinks
-                       if getattr(s, "per_step", True)
-                       and "transition" in _taken(s)])
-        if folded or moved:
-            step = [s for s in hub.sinks if getattr(s, "per_step", True)
-                    and "transition" not in _taken(s)]
+        step = [s for s in hub.sinks if getattr(s, "per_step", True)
+                and "transition" not in _taken(s)]
+        if len(step) < len(hub.sinks):
+            folded = tuple([s for s in hub.sinks
+                            if not getattr(s, "per_step", True)
+                            and "run_tally" in _taken(s)])
+            moved = tuple([s for s in hub.sinks
+                           if getattr(s, "per_step", True)
+                           and "transition" in _taken(s)])
             split = (hub, (ObsHub(step) if step else None),
                      folded or None, moved or None)
     if type(sinks) is tuple:

@@ -396,17 +396,7 @@ def concatenate_journals(shards: Sequence[Union[str, bytes]],
                 name = shard
                 fh = open(shard, "rb")
             with fh:
-                first = fh.readline()
-                if not first:
-                    raise ValueError(f"{name}: empty journal shard")
-                header = json.loads(first)
-                if header.get("t") != "journal":
-                    raise ValueError(f"{name}: missing journal header line")
-                if header.get("v") not in SUPPORTED_VERSIONS:
-                    raise ValueError(
-                        f"{name}: unsupported journal version "
-                        f"{header.get('v')!r}"
-                    )
+                header = _shard_header(name, fh.readline())
                 if expected_header is None:
                     expected_header = header
                     out.write(_dumps(header).encode() + b"\n")
@@ -434,6 +424,34 @@ def concatenate_journals(shards: Sequence[Union[str, bytes]],
     # journal appears under its final name complete or not at all.
     os.replace(tmp_path, out_path)
     return events
+
+
+def _shard_header(name: str, first: bytes) -> Dict[str, Any]:
+    """A journal shard's header line, parsed and checked."""
+    if not first:
+        raise ValueError(f"{name}: empty journal shard")
+    header = json.loads(first)
+    if header.get("t") != "journal":
+        raise ValueError(f"{name}: missing journal header line")
+    if header.get("v") not in SUPPORTED_VERSIONS:
+        raise ValueError(
+            f"{name}: unsupported journal version {header.get('v')!r}")
+    return header
+
+
+def adopt_journal(shard: str, out_path: str) -> None:
+    """Move a lone journal shard into place as ``out_path``.
+
+    The one-shard case of :func:`concatenate_journals` without the
+    copy: the shard's header is checked the same way, and the shard is
+    fsynced and renamed.  A :class:`JsonlJournal` shard already starts
+    with the header concatenation would write, so the bytes are the
+    same.
+    """
+    with open(shard, "rb") as fh:
+        _shard_header(shard, fh.readline())
+        os.fsync(fh.fileno())
+    os.replace(shard, out_path)
 
 
 # -- reading and replay -----------------------------------------------

@@ -1,117 +1,87 @@
-"""Per-phase and per-component time attribution — flamegraph fuel.
+"""Per-run time attribution — flamegraph fuel.
 
-:class:`TimeAttributionProfiler` is the package's timing sink.  It
-sets ``wants_timing``; the kernel reads ``perf_counter`` only when some
-attached sink does, so metrics or journal sinks alone never pay for
-clock reads.  It keeps the seconds and event count of every phase the
-kernel emits:
+:class:`TimeAttributionProfiler` times each run's layers from run-level
+events, reading ``perf_counter`` once per event.  It declares
+``per_step = False``, so under the fast engine it takes no per-step
+event and a profiled sweep runs the same step loop as a bare one.  Two
+layers tile a run:
 
-``sched``       one scheduler consultation sequence (including any
-                injected crashes) before a step
-``step``        one processor step (a :meth:`Simulation.step_processor`
-                execution, or one step of a run)
-``transition``  the step's own work outside weak-memory resolution:
-                branch sampling, register access, the automaton
-                transition (``observe``) and decision tracking; a
-                subset of ``step``
-``memory``      weak-memory value resolution inside a step (pending-
-                write commit, legal-set computation, adversary
-                consultation, write installation); a subset of
-                ``step``, disjoint from ``transition``, and never
-                emitted under atomic semantics (atomic register access
-                is transition work)
+``setup``  ``on_run_key`` to ``on_run_start``: the run's stream
+           derivation, the protocol, scheduler and inputs factories,
+           and :class:`~repro.sim.kernel.Simulation` construction
+``loop``   ``on_run_start`` to ``on_run_end``: the step loop, the
+           run-tally fold and the :class:`~repro.sim.kernel.RunResult`
+           snapshot
 
-:meth:`~TimeAttributionProfiler.render_phases` prints that table.  The
-profiler then answers the budgeting question behind it: *which
-component owns each microsecond of a run* — the scheduler (the
-adversary), the protocol transition function, the memory model, the
-kernel's own bookkeeping, or the observability hooks themselves.  It
-folds the phases into five disjoint components:
-
-``scheduler``   the ``sched`` phase — adversary consultations, crash
-                injection, liveness filtering
-``transition``  the ``transition`` phase
-``memory``      the ``memory`` phase (zero under atomic semantics)
-``kernel``      the remainder of ``step`` — the per-step event
-                emissions to per-step sinks
-``hooks``       run wall time not inside ``sched`` or ``step`` — run-
-                level hub fan-out, run-tally folds, loop overhead
-
-The components tile the run: their sum equals measured wall time (up to
-clock granularity; negative residuals clamp to zero).  Each profiler
-carries a frame prefix like ``("two_process", "random", "atomic")`` so
-:meth:`stacks` yields folded-stack rows
-``protocol;scheduler_name;memory;component`` ready for
+Only the runner (and ``solve``) deliver ``on_run_key``, so a bare
+:class:`~repro.sim.kernel.Simulation` run has ``setup`` 0.  For a split
+inside the loop, use the span tracer's wall clock (``repro trace
+--wall``).  Each profiler carries a frame prefix like
+``("two_process", "random", "atomic")`` so :meth:`stacks` yields
+folded-stack rows ``protocol;scheduler_name;memory;layer`` ready for
 :func:`repro.obs.export.folded_stacks`, and :func:`profile_matrix`
 sweeps a protocol × scheduler × memory grid into one flamegraph.
 """
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs.hooks import BaseSink
 
-#: Attribution components, in render order.
-COMPONENTS = ("scheduler", "transition", "memory", "kernel", "hooks")
+#: Attribution layers, in render order.
+COMPONENTS = ("setup", "loop")
 
 
 class TimeAttributionProfiler(BaseSink):
-    """Timing sink attributing run wall time to stack components.
+    """Run-level sink attributing run wall time to per-run layers.
 
     Attach one per configuration; the ``frames`` prefix names the
-    configuration in folded-stack output.  Attribution is derived, not
-    measured twice: ``kernel = step - transition - memory`` and
-    ``hooks = run_wall - sched - step``, both clamped at zero (the
-    phases nest, so residuals are non-negative up to clock jitter).
+    configuration in folded-stack output.
     """
 
-    wants_timing = True
+    per_step = False
 
     def __init__(self, frames: Sequence[str] = ()) -> None:
         self.frames: Tuple[str, ...] = tuple(frames)
-        self.phase_seconds: Dict[str, float] = {}
-        self.phase_counts: Dict[str, int] = {}
-        self.run_seconds = 0.0
+        self.setup_seconds = 0.0
+        self.loop_seconds = 0.0
         self.n_runs = 0
-        self._run_t0: Optional[float] = None
+        # The clock at the current run's last run-level event, if any.
+        self._mark: Optional[float] = None
 
     # -- sink protocol -------------------------------------------------
 
-    def on_phase_time(self, phase: str, seconds: float) -> None:
-        self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) \
-            + seconds
-        self.phase_counts[phase] = self.phase_counts.get(phase, 0) + 1
+    def on_run_key(self, root_seed: int, run_index: int) -> None:
+        self._mark = perf_counter()
 
     def on_run_start(self, protocol_name: str, n_processes: int,
                      inputs: Tuple[Hashable, ...]) -> None:
-        self._run_t0 = time.perf_counter()
+        now = perf_counter()
+        if self._mark is not None:
+            self.setup_seconds += now - self._mark
+        self._mark = now
 
     def on_run_end(self, result) -> None:
-        if self._run_t0 is not None:
-            self.run_seconds += time.perf_counter() - self._run_t0
-            self._run_t0 = None
+        now = perf_counter()
+        if self._mark is not None:
+            self.loop_seconds += now - self._mark
+            self._mark = None
         self.n_runs += 1
 
     # -- attribution ---------------------------------------------------
 
+    @property
+    def run_seconds(self) -> float:
+        return self.setup_seconds + self.loop_seconds
+
     def components(self) -> Dict[str, float]:
-        """Seconds per component; keys are :data:`COMPONENTS`."""
-        sched = self.phase_seconds.get("sched", 0.0)
-        step = self.phase_seconds.get("step", 0.0)
-        transition = self.phase_seconds.get("transition", 0.0)
-        memory = self.phase_seconds.get("memory", 0.0)
-        return {
-            "scheduler": sched,
-            "transition": transition,
-            "memory": memory,
-            "kernel": max(0.0, step - transition - memory),
-            "hooks": max(0.0, self.run_seconds - sched - step),
-        }
+        """Seconds per layer; keys are :data:`COMPONENTS`."""
+        return {"setup": self.setup_seconds, "loop": self.loop_seconds}
 
     def stacks(self) -> List[Tuple[Tuple[str, ...], float]]:
-        """Folded-stack rows: ``frames + (component,) -> seconds``."""
+        """Folded-stack rows: ``frames + (layer,) -> seconds``."""
         return [(self.frames + (name,), seconds)
                 for name, seconds in self.components().items()
                 if seconds > 0.0]
@@ -122,13 +92,8 @@ class TimeAttributionProfiler(BaseSink):
             raise ValueError(
                 f"cannot merge profiler for {other.frames} into "
                 f"{self.frames}")
-        for phase, seconds in other.phase_seconds.items():
-            self.phase_seconds[phase] = \
-                self.phase_seconds.get(phase, 0.0) + seconds
-        for phase, count in other.phase_counts.items():
-            self.phase_counts[phase] = \
-                self.phase_counts.get(phase, 0) + count
-        self.run_seconds += other.run_seconds
+        self.setup_seconds += other.setup_seconds
+        self.loop_seconds += other.loop_seconds
         self.n_runs += other.n_runs
 
     def to_dict(self) -> Dict[str, object]:
@@ -138,16 +103,6 @@ class TimeAttributionProfiler(BaseSink):
             "run_seconds": self.run_seconds,
             "components": self.components(),
         }
-
-    def render_phases(self) -> str:
-        """The phase table: seconds, event count and mean per phase."""
-        width = max(map(len, self.phase_counts), default=0)
-        lines = []
-        for name, count in sorted(self.phase_counts.items()):
-            seconds = self.phase_seconds[name]
-            lines.append(f"  {name:<{width}}  {seconds:.4f}s over {count} "
-                         f"events ({seconds * 1e6 / count:.2f}us mean)")
-        return "\n".join(lines)
 
     def render(self) -> str:
         comps = self.components()

@@ -37,7 +37,9 @@ JSONL journal shard).  The merge step is deterministic:
   and take the last shard's last value);
 * journal shards concatenate via
   :func:`~repro.obs.journal.concatenate_journals`, keeping a single
-  header line — byte-identical to the journal a serial run writes.
+  header line — byte-identical to the journal a serial run writes (a
+  lone shard is renamed into place by
+  :func:`~repro.obs.journal.adopt_journal`).
 
 Shards that leave the process need picklable task specs (the engine
 checks up front and raises a descriptive error otherwise): use
@@ -65,7 +67,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.engines import resolve_sim_engine
 from repro.faults import corrupt_file, trigger_worker_fault
-from repro.obs.journal import JsonlJournal, concatenate_journals
+from repro.obs.journal import (JsonlJournal, adopt_journal,
+                               concatenate_journals)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetryEmitter, file_sink
 from repro.parallel.supervisor import (FaultEvent, FaultReport,
@@ -354,8 +357,10 @@ def _run_on_workers(jobs: List[_Attempt], workers: int, ctx,
 
     ``on_done(job, result)`` and ``on_fault(job, kind, detail)`` return
     the retry attempt to enqueue, if any; ``on_fault`` may raise to
-    abort the sweep.  Workers start on demand, run shard after shard,
-    and are replaced when one crashes, times out or raises.
+    abort the sweep.  Workers start on demand and run shard after
+    shard.  One that crashes, times out or raises is retired and, while
+    jobs are pending, replaced at once, so the number of starts follows
+    the faults and not their timing.
     """
     from multiprocessing.connection import wait as wait_for
 
@@ -383,6 +388,8 @@ def _run_on_workers(jobs: List[_Attempt], workers: int, ctx,
         retry = on_fault(job, kind, detail)
         if retry is not None:
             pending.append(retry)
+        if pending:
+            start()
 
     def receive(worker: _Worker) -> None:
         while worker.job is not None and worker.conn.poll():
@@ -740,10 +747,16 @@ def run_parallel(
 
     journal_events: Optional[int] = None
     if journal_path is not None and (journal_parts or not quarantined):
-        journal_events = concatenate_journals(journal_parts, journal_path)
-        for part in journal_parts:
-            if isinstance(part, str):
-                os.remove(part)
+        if len(journal_parts) == 1 and isinstance(journal_parts[0], str):
+            # One executed shard: its journal is the batch's journal.
+            adopt_journal(journal_parts[0], journal_path)
+            journal_events = results[0].journal_events
+        else:
+            journal_events = concatenate_journals(journal_parts,
+                                                  journal_path)
+            for part in journal_parts:
+                if isinstance(part, str):
+                    os.remove(part)
 
     report.quarantined = sorted(quarantined.values())
     return BatchStats(

@@ -22,8 +22,8 @@ with exactly one step body:
   transitions through a :class:`~repro.sim.transitions.TransitionCache`,
   and materializes immutable :class:`~repro.sim.config.Configuration`
   snapshots lazily.  Its one loop, :meth:`Simulation._run_fast`, runs
-  bare and observed runs alike (hook emissions, run tallies, clock
-  reads and trace records sit behind one ``observed`` test) and
+  bare and observed runs alike (hook emissions, run tallies and
+  trace records sit behind one ``observed`` test) and
   serves :meth:`Simulation.step` and :meth:`Simulation.step_processor`
   with a one-step budget;
 * the **reference path** (``engine="reference"``) preserves the original
@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from time import perf_counter
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.engines import resolve_sim_engine
@@ -534,14 +533,10 @@ class Simulation:
         if self._fast:
             return self._run_fast(self.step_index + 1)
         obs = self._obs
-        timing = obs is not None and obs.timing
-        t0 = perf_counter() if timing else 0.0
         self.sched_consults += 1
         if obs is not None:
             obs.sched(self.sched_consults)
         pid, forced = self._settle(self.scheduler.choose(self._view), obs)
-        if timing:
-            obs.phase_time("sched", perf_counter() - t0)
         self._check_active(pid)
         return self._step_reference(pid, forced)
 
@@ -638,12 +633,10 @@ class Simulation:
         Immutable configuration rebuilt, ``branches()`` validated and
         access checked every step, register access routed through the
         memory model.  The differential tests and the kernel benchmark
-        compare the fast path against it; hook emissions and phase
-        timings follow :meth:`_run_fast`'s order and meaning.
+        compare the fast path against it; hook emissions follow
+        :meth:`_run_fast`'s order and meaning.
         """
         obs = self._obs
-        timing = obs is not None and obs.timing
-        t_step = perf_counter() if timing else 0.0
         config = self._config_cache
         state = config.states[pid]
         memory = self._memory
@@ -660,8 +653,6 @@ class Simulation:
             if obs is not None:
                 obs.coin_flip(pid, len(branches))
         op = branch.op
-        if timing:
-            t_mem = perf_counter()
 
         if isinstance(op, ReadOp):
             slot = self.layout.check_read(pid, op.register)
@@ -677,8 +668,6 @@ class Simulation:
             result = None
         else:
             raise ProtocolError(f"unknown operation {op!r}")
-        if timing:
-            t_mem = perf_counter() - t_mem
         if obs is not None:
             if isinstance(op, ReadOp):
                 obs.read(pid, op.register, result)
@@ -704,16 +693,7 @@ class Simulation:
                             result=result, decided=decided)
         self.step_index += 1
         if obs is not None:
-            if timing:
-                t_trans = perf_counter() - t_step
-                if not self._mem_atomic:
-                    t_trans -= t_mem
             obs.step(record.index, pid, op, result, decided)
-            if timing:
-                if not self._mem_atomic:
-                    obs.phase_time("memory", t_mem)
-                obs.phase_time("transition", t_trans)
-                obs.phase_time("step", perf_counter() - t_step)
         if self.trace is not None:
             self.trace.append(record)
         return record
@@ -731,22 +711,20 @@ class Simulation:
         :class:`SchedulerView` exposes stay live on ``self``.
 
         What observation adds costs a bare run one test per site: the
-        hub-only sites (the sched emission with the scheduler clocks,
-        the coin-flip emission, the weak-memory clocks) test ``obs``,
-        and one ``observed`` test at the end of the step covers hub
-        emissions, transition-sink calls, phase times, run tallies and
-        trace records.  Clock
-        reads (``timing``) nest inside those tests, so a bare run never
-        reads it.  The bare path also keeps its own checks few: one
-        loop bound (``limit``) stands for the step budget, the
-        consultation budget and the end of the run, and decided or
-        crashed processors are rejected on the branch that seeds a
-        processor's transition entry, the only one they can reach.
-        Emission order
-        is part of the journal schema contract — sched, coin-flip,
-        read_choices (from :meth:`_resolve_read`), read/write,
-        decision, step — and :func:`repro.obs.journal.replay_journal`
-        re-dispatches in the same order.  Transition sinks get each
+        hub-only sites (the sched and coin-flip emissions) test
+        ``obs``, and one ``observed`` test at the end of the step
+        covers hub emissions, transition-sink calls, run tallies and
+        trace records.  The loop reads no clock: the profiler times
+        whole runs from run-level events.  The bare path also keeps its
+        own checks few: one loop bound (``limit``) stands for the step
+        budget, the consultation budget and the end of the run, and
+        decided or crashed processors are rejected on the branch that
+        seeds a processor's transition entry, the only one they can
+        reach.  Emission order is part of the journal schema contract
+        — sched, coin-flip, read_choices (from :meth:`_resolve_read`),
+        read/write, decision, step — and
+        :func:`repro.obs.journal.replay_journal` re-dispatches in the
+        same order.  Transition sinks get each
         step as one call with the memoized outcome the step took
         (:meth:`repro.obs.hooks.BaseSink.on_transition`).  Run-tally
         sinks get the call's counts once, on exit (:meth:`_fold_tally`),
@@ -773,7 +751,6 @@ class Simulation:
         trace = self.trace
         # Any sink (per-step or tally) means a hub; or a trace.
         observed = self._hub is not None or trace is not None
-        timing = obs is not None and obs.timing
         # Each live processor's current transition entry: seeded lazily
         # from its state, then chained through the memoized outcomes'
         # next-entry pointers — no per-step state hashing.  None until
@@ -786,9 +763,6 @@ class Simulation:
         consults = self.sched_consults
         # A scheduler's pre-committed read value; reset once used.
         forced = None
-        # The clocks t_sched and t_step are read only under ``timing``,
-        # which also sets them first; t_mem stays 0.0 under atomic memory.
-        t_mem = 0.0
         if tallies is not None:
             # Per slot: None (untouched this call), True (written and
             # not read since) or False (read since the last write).
@@ -809,20 +783,12 @@ class Simulation:
             while step_index < limit:
                 if given is not None:
                     pid = given
-                    if obs is not None and timing:
-                        t_step = perf_counter()
                 else:
                     consults += 1
                     self.sched_consults = consults
                     if obs is not None:
-                        if timing:
-                            t_sched = perf_counter()
                         obs.sched(consults)
-                        action = choose(view)
-                        if timing:
-                            t_step = perf_counter()
-                    else:
-                        action = choose(view)
+                    action = choose(view)
                     cls = action.__class__
                     if cls is int:
                         pid = action
@@ -832,15 +798,13 @@ class Simulation:
                             forced = action.read_value
                         else:
                             # Cold branch: crash injections and exotic
-                            # action types, inside the ``sched`` phase.
+                            # action types.
                             pid, forced = self._settle(action, obs)
                             consults = self.sched_consults
                             limit = min(max_steps, max_consults
                                         - consults + step_index + 1)
                             for p in self.crashed:
                                 cur_entries[p] = None
-                            if obs is not None and timing:
-                                t_step = perf_counter()
                         if pid.__class__ is not int:
                             self._check_active(pid)
                     if not 0 <= pid < n:
@@ -868,11 +832,8 @@ class Simulation:
                     branch_index = 0
                 op, is_read, slot, value = entry.execs[branch_index]
                 if not atomic:
-                    # The ``memory`` phase: weak-memory value
-                    # resolution, timed on its own.  Atomic access
-                    # resolves nothing and counts as transition work.
-                    if obs is not None and timing:
-                        t_mem = perf_counter()
+                    # Weak-memory value resolution; atomic access below
+                    # resolves nothing.
                     memory.on_activate(pid)
                     if is_read:
                         choices = memory.read_choices(slot)
@@ -886,8 +847,6 @@ class Simulation:
                         memory.write(pid, slot, value)
                         result = None
                     forced = None
-                    if obs is not None and timing:
-                        t_mem = perf_counter() - t_mem
                 else:
                     if is_read:
                         result = registers[slot]
@@ -915,11 +874,6 @@ class Simulation:
                         limit = step_index
                 if observed:
                     if obs is not None:
-                        if timing:
-                            # Transition: the step's work outside the
-                            # weak-memory phase (t_mem stays 0.0 under
-                            # atomic semantics).
-                            t_trans = perf_counter() - t_step - t_mem
                         if is_read:
                             obs.read(pid, op.register, result)
                         else:
@@ -933,13 +887,6 @@ class Simulation:
                             sink.on_transition(step_index - 1, pid, entry,
                                                branch_index, result,
                                                outcome, activation)
-                    if timing:
-                        if given is None:
-                            obs.phase_time("sched", t_step - t_sched)
-                        if not atomic:
-                            obs.phase_time("memory", t_mem)
-                        obs.phase_time("transition", t_trans)
-                        obs.phase_time("step", perf_counter() - t_step)
                     if tallies is not None:
                         if is_read:
                             unread[slot] = False

@@ -124,10 +124,10 @@ class TestReport:
         assert "num_depth" in live_out
 
     def test_report_timing(self, capsys):
-        assert main(["report", "--runs", "10", "--profile"]) == 0
+        assert main(["report", "--runs", "50", "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "phase timing:" in out
-        assert "transition" in out
+        assert "time attribution:" in out
+        assert "\n  setup " in out and "\n  loop " in out
 
     def test_report_json_record(self, tmp_path, capsys):
         import json
@@ -190,7 +190,7 @@ class TestReport:
                      "--store", str(tmp_path / "runs.store"),
                      "--json", stored]) == 0
         out = capsys.readouterr().out
-        assert "phase timing:" in out
+        assert "time attribution:" in out
         assert "store:" in out
         with open(plain) as fh:
             plain_metrics = json.load(fh)["records"][0]["metrics"]

@@ -148,8 +148,8 @@ def test_traces_identical_when_recorded():
 
 
 # ----------------------------------------------------------------------
-# Observability parity: journal bytes, metrics, span trees and phase
-# counts must not change
+# Observability parity: journal bytes, metrics, span trees and profiled
+# runs must not change
 # ----------------------------------------------------------------------
 
 class ForcedReadScheduler(RandomScheduler):
@@ -349,15 +349,15 @@ def test_tracer_span_trees_identical():
         assert trees["fast"] == trees["reference"], case
 
 
-def test_profiler_phase_counts_identical():
+def test_profiled_runs_identical():
     for case in OBS_CASES:
         pair = observe_pair(case, 37,
                             lambda engine: TimeAttributionProfiler())
-        counts = {}
-        for engine, (profiler, result) in pair.items():
-            assert profiler.phase_counts["step"] == result.total_steps
-            counts[engine] = profiler.phase_counts
-        assert counts["fast"] == counts["reference"], case
+        for engine, (profiler, _) in pair.items():
+            assert profiler.n_runs == 1, case
+            # A bare Simulation delivers no on_run_key: no setup layer.
+            assert profiler.setup_seconds == 0.0 < profiler.loop_seconds
+        assert_identical(pair["fast"][1], pair["reference"][1])
 
 
 def test_mixed_stepping_identical_with_sinks(tmp_path):
@@ -382,12 +382,12 @@ def test_mixed_stepping_identical_with_sinks(tmp_path):
         result = sim.run(3_000)
         journal.close()
         assert records == list(result.trace)[:len(records)]
-        assert profiler.phase_counts["step"] == result.total_steps
-        # step_processor bypasses the scheduler: no sched phase.
-        assert profiler.phase_counts["sched"] == result.total_steps - 3
+        assert registry.counters["steps"].value == result.total_steps
+        # step_processor bypasses the scheduler: no consultation.
+        assert result.sched_consults == result.total_steps - 3
+        assert profiler.n_runs == 1
         seen[engine] = (result, records, list(result.trace),
-                        path.read_bytes(), registry.to_dict(),
-                        profiler.phase_counts)
+                        path.read_bytes(), registry.to_dict())
     fast, ref = seen["fast"], seen["reference"]
     assert_identical(fast[0], ref[0])
     assert fast[1:] == ref[1:]

@@ -1,4 +1,4 @@
-"""Tests for the hook protocol, observed-vs-bare run parity, phase
+"""Tests for the hook protocol, observed-vs-bare run parity, run-level
 timing, and the scheduler-consultation accounting fix."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from repro.core.two_process import TwoProcessProtocol
 from repro.errors import SimulationError
 from repro.obs import (BaseSink, MetricsRegistry, ObsHub,
                        TimeAttributionProfiler)
-from repro.obs.hooks import make_hub
+from repro.obs.hooks import _taken, make_hub
 from repro.sched.simple import FixedScheduler, RandomScheduler
 from repro.sim.kernel import Activate, Crash, Simulation
 from repro.sim.rng import ReplayableRng
@@ -70,10 +70,6 @@ class TestHub:
         hub.step(0, 1, None, None, None)
         assert a.events == b.events == [("step", 0)]
 
-    def test_timing_flag_from_sinks(self):
-        assert not ObsHub((RecordingSink(),)).timing
-        assert ObsHub((RecordingSink(), TimeAttributionProfiler())).timing
-
     def test_attach_sink_after_construction(self):
         sim = make_sim()
         sink = RecordingSink()
@@ -116,32 +112,20 @@ class TestNonPerturbation:
         assert observed.total_steps == bare.total_steps
 
 
-class TestPhaseTimer:
-    def test_phases_accumulate(self):
+class TestRunTimer:
+    def test_run_layers_accumulate(self):
         timer = TimeAttributionProfiler()
         result = make_sim(seed=2, sinks=(timer,)).run(4000)
+        assert result.total_steps > 0
         assert timer.n_runs == 1
         assert timer.run_seconds > 0
-        for phase in ("sched", "step", "transition"):
-            assert timer.phase_counts[phase] > 0
-            assert timer.phase_seconds[phase] > 0
-        assert timer.phase_counts["step"] == result.total_steps
-        # The transition is a sub-span of the step.
-        assert (timer.phase_seconds["transition"]
-                <= timer.phase_seconds["step"])
-        mean_us = timer.phase_seconds["step"] * 1e6 \
-            / timer.phase_counts["step"]
-        assert mean_us > 0
-        assert "step" in timer.render_phases()
+        # A bare Simulation delivers no on_run_key: it is all loop.
+        assert timer.setup_seconds == 0.0
+        assert timer.run_seconds == timer.loop_seconds
 
-    def test_no_timing_without_timer_sink(self):
-        class TimingSpy(RecordingSink):
-            def on_phase_time(self, phase, seconds):
-                self.events.append(("phase_time", phase))
-
-        spy = TimingSpy()  # wants_timing stays False
-        make_sim(seed=2, sinks=(spy,)).run(4000)
-        assert not any(k == "phase_time" for k, _ in spy.events)
+    def test_timer_takes_run_level_events_only(self):
+        assert _taken(TimeAttributionProfiler()) == {
+            "run_key", "run_start", "run_end"}
 
 
 class TestSchedulerConsultAccounting:

@@ -1,4 +1,4 @@
-"""Time-attribution profiler tests: tiling, merging, matrix sweeps."""
+"""Time-attribution profiler tests: run layers, merging, matrix sweeps."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.three_bounded import ThreeBoundedProtocol
 from repro.core.two_process import TwoProcessProtocol
+from repro.obs.hooks import split_sinks
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import (
     COMPONENTS,
     TimeAttributionProfiler,
@@ -13,18 +15,18 @@ from repro.obs.profiling import (
     profile_matrix,
 )
 from repro.sched.simple import RandomScheduler, RoundRobinScheduler
+from repro.sim.kernel import Simulation
+from repro.sim.rng import ReplayableRng
 from repro.sim.runner import ExperimentRunner
 
 
-def profiled_batch(frames=("two", "random", "atomic"), memory=None,
-                   n_runs=5, seed=13):
+def profiled_batch(frames=("two", "random", "atomic"), n_runs=5, seed=13):
     profiler = TimeAttributionProfiler(frames)
     runner = ExperimentRunner(
         protocol_factory=lambda: TwoProcessProtocol(),
         scheduler_factory=lambda rng: RandomScheduler(rng),
         inputs_factory=lambda i, rng: ("a", "b"),
         seed=seed,
-        memory=memory,
         sinks=(profiler,),
     )
     runner.run_many(n_runs, max_steps=4000)
@@ -35,46 +37,37 @@ class TestAttribution:
     def test_components_tile_the_run(self):
         profiler = profiled_batch()
         comps = profiler.components()
-        assert set(comps) == set(COMPONENTS)
-        assert all(v >= 0.0 for v in comps.values())
-        # sched and step were measured directly; both must show up.
-        assert comps["scheduler"] > 0
-        assert comps["transition"] > 0
-        # The five components tile measured wall time: the two derived
-        # ones are residuals of the measured phases, so the sum equals
-        # run_seconds up to clamp jitter at clock granularity.
-        assert sum(comps.values()) == pytest.approx(
-            profiler.run_seconds, rel=1e-3, abs=1e-4)
-
-    def test_memory_component_zero_under_atomic(self):
-        assert profiled_batch().components()["memory"] == 0.0
-
-    def test_memory_component_positive_under_weak_semantics(self):
-        profiler = profiled_batch(
-            frames=("two", "random", "safe"), memory="safe")
-        assert profiler.components()["memory"] > 0.0
-        assert profiler.phase_counts["memory"] > 0
+        assert set(comps) == set(COMPONENTS) == {"setup", "loop"}
+        # The runner delivers on_run_key, so both layers show up.
+        assert comps["setup"] > 0
+        assert comps["loop"] > 0
+        assert comps["setup"] + comps["loop"] == profiler.run_seconds
 
     def test_stacks_prefix_frames_and_drop_zeros(self):
         profiler = profiled_batch()
         rows = profiler.stacks()
-        assert rows
         names = set()
         for frames, seconds in rows:
             assert frames[:3] == ("two", "random", "atomic")
             assert seconds > 0.0
             names.add(frames[3])
-        assert "memory" not in names  # atomic: zero rows filtered
+        assert names == {"setup", "loop"}
+        # A bare Simulation has no setup layer: its zero row is dropped.
+        bare = TimeAttributionProfiler(("bare",))
+        rng = ReplayableRng(3)
+        Simulation(TwoProcessProtocol(), ("a", "b"),
+                   RandomScheduler(rng.child("sched")), rng.child("kernel"),
+                   sinks=(bare,)).run(4000)
+        assert [frames for frames, _ in bare.stacks()] == [("bare", "loop")]
 
-    def test_run_and_phase_counting(self):
+    def test_run_counting(self):
         profiler = profiled_batch(n_runs=4)
         assert profiler.n_runs == 4
-        assert profiler.phase_counts["sched"] > 0
-        assert profiler.phase_counts["step"] == \
-            profiler.phase_counts["transition"]
         d = profiler.to_dict()
         assert d["runs"] == 4
         assert d["frames"] == ["two", "random", "atomic"]
+        assert d["run_seconds"] == profiler.run_seconds
+        assert d["components"] == profiler.components()
 
     def test_render_mentions_every_component(self):
         text = profiled_batch().render()
@@ -83,16 +76,45 @@ class TestAttribution:
             assert name in text
 
 
+class TestProductionLoop:
+    """The profiler rides the loop a bare sweep runs."""
+
+    def test_no_step_hub_beside_a_registry(self):
+        registry = MetricsRegistry()
+        hub, step_hub, tallies, transitions = split_sinks(
+            (registry, TimeAttributionProfiler()), True)
+        assert step_hub is None
+        assert tallies == (registry,)
+        assert transitions is None
+        # Alone, it leaves the loop nothing to fold either.
+        assert split_sinks((TimeAttributionProfiler(),), True)[1:] == \
+            (None, None, None)
+
+    def test_profiled_sweep_matches_the_bare_one(self):
+        bare = MetricsRegistry()
+        profiled = MetricsRegistry()
+        profiler = TimeAttributionProfiler()
+        for sinks in ((bare,), (profiled, profiler)):
+            ExperimentRunner(
+                protocol_factory=lambda: TwoProcessProtocol(),
+                scheduler_factory=lambda rng: RandomScheduler(rng),
+                inputs_factory=lambda i, rng: ("a", "b"),
+                seed=9, sinks=sinks,
+            ).run_many(20, max_steps=4000)
+        assert profiled.to_dict() == bare.to_dict()
+        assert profiler.n_runs == 20
+
+
 class TestMerge:
     def test_merge_adds_durations_and_counts(self):
         a = profiled_batch(seed=1)
         b = profiled_batch(seed=2)
         total_runs = a.n_runs + b.n_runs
-        expected_sched = a.phase_seconds["sched"] + \
-            b.phase_seconds["sched"]
+        expected = {name: a.components()[name] + b.components()[name]
+                    for name in COMPONENTS}
         a.merge(b)
         assert a.n_runs == total_runs
-        assert a.phase_seconds["sched"] == pytest.approx(expected_sched)
+        assert a.components() == pytest.approx(expected)
 
     def test_merge_rejects_mismatched_frames(self):
         a = TimeAttributionProfiler(("two", "random", "atomic"))

@@ -22,8 +22,8 @@ from repro.core.three_bounded import ThreeBoundedProtocol
 from repro.core.three_unbounded import ThreeUnboundedProtocol
 from repro.core.two_process import TwoProcessProtocol
 from repro.errors import SimulationError
-from repro.obs import (BaseSink, JsonlJournal, MetricsRegistry,
-                       TimeAttributionProfiler, replay_journal)
+from repro.obs import (BaseSink, JsonlJournal, MetricsRegistry, Tracer,
+                       replay_journal)
 from repro.obs.hooks import split_sinks
 from repro.sched.adversary import (LaggardFreezer, ReadValueAdversary,
                                    SplitVoteAdversary)
@@ -104,14 +104,15 @@ def test_tally_fold_matches_journal_replay(protocol, scheduler, memory,
 
 @pytest.mark.parametrize("memory", MEMORIES)
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
-def test_tally_fold_beside_a_profiler(protocol, memory):
-    profiler = TimeAttributionProfiler()
+def test_tally_fold_beside_a_per_step_sink(protocol, memory):
+    tracer = Tracer(max_spans=10 ** 6)
     folded = batch_metrics(protocol, "random", memory, engine="fast",
-                           extra=(profiler,))
+                           extra=(tracer,))
     events = batch_metrics(protocol, "random", memory, engine="reference")
     assert folded.to_dict() == events.to_dict()
-    assert profiler.n_runs == len(SEEDS)
-    assert profiler.phase_counts["step"] == folded.counters["steps"].value
+    names = [span.name for span in tracer.spans]
+    assert names.count("run") == len(SEEDS)
+    assert names.count("step") == folded.counters["steps"].value
 
 
 def drive(sim, registry, script):

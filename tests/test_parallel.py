@@ -22,7 +22,7 @@ import pytest
 
 from repro.faults import FaultAction, FaultPlan
 from repro.obs import JsonlJournal, MetricsRegistry
-from repro.obs.journal import concatenate_journals
+from repro.obs.journal import adopt_journal, concatenate_journals
 from repro.parallel import (
     BatchSpec,
     ConstantInputs,
@@ -416,6 +416,34 @@ class TestEdgesAndErrors:
         with pytest.raises(ValueError, match="stored shard 1: missing"):
             concatenate_journals([shard, b'{"t":"step","i":0}\n'],
                                  str(tmp_path / "out.jsonl"))
+
+    def test_one_shard_journal_is_renamed_not_copied(self, tmp_path,
+                                                     monkeypatch):
+        import repro.parallel.engine as engine
+
+        one, two = str(tmp_path / "one.jsonl"), str(tmp_path / "two.jsonl")
+        stitched = make_runner().run_many(
+            N_RUNS, max_steps=MAX_STEPS, shard_size=N_RUNS // 2,
+            journal_path=two)
+
+        def no_copy(shards, out_path):
+            raise AssertionError("a one-shard journal was copied")
+
+        monkeypatch.setattr(engine, "concatenate_journals", no_copy)
+        stats = make_runner().run_many(N_RUNS, max_steps=MAX_STEPS,
+                                       journal_path=one)
+        data = open(one, "rb").read()
+        assert data == open(two, "rb").read()
+        assert stats.journal_events == stitched.journal_events \
+            == data.count(b"\n")
+        assert sorted(os.listdir(tmp_path)) == ["one.jsonl", "two.jsonl"]
+
+    def test_adopt_rejects_headerless_shard(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"t":"step","i":0}\n')
+        with pytest.raises(ValueError, match="header"):
+            adopt_journal(str(bad), str(tmp_path / "out.jsonl"))
+        assert bad.exists() and not (tmp_path / "out.jsonl").exists()
 
 
 class TestSpecs:
