@@ -44,8 +44,8 @@ too, so token collisions add an identically-bounded term over the
 (much smaller) set of distinct state/value objects.  ``exact=True``
 switches the visited set to the packed key vectors themselves — no
 collisions, same exploration order, ~2-3x the memory — and the
-differential suite runs both modes against the objects BFS
-(tests/test_checker_statespace.py).
+differential harness runs both modes against the objects BFS
+(tests/test_differential.py).
 """
 
 from __future__ import annotations

@@ -199,43 +199,39 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     inputs = args.inputs.split(",")
     protocol = _build_protocol(args.protocol, len(inputs))
+    if args.engine != "fingerprints" and (
+            args.symmetry or args.por or args.exact or args.telemetry):
+        print("error: --symmetry/--por/--exact/--telemetry "
+              "require --engine fingerprints")
+        return 2
+    print(f"protocol: {protocol.name}, inputs {inputs}")
     if args.engine == "fingerprints":
         from repro.checker.statespace import explore_fast
 
-        rep = explore_fast(
+        report = explore_fast(
             protocol, inputs, memory=args.memory, max_depth=args.depth,
             max_states=args.max_states, symmetry=args.symmetry,
             por=args.por, exact=args.exact,
             telemetry_path=args.telemetry,
         )
-        print(f"protocol: {protocol.name}, inputs {inputs}")
-        print(f"explored: {rep.visited} configurations, {rep.edges} "
-              f"edges, depth {rep.depth} "
-              f"({rep.states_per_sec:,.0f} states/sec"
-              + (", exact visited set" if rep.exact else "") + ")")
+        print(f"explored: {report.visited} configurations, "
+              f"{report.edges} edges, depth {report.depth} "
+              f"({report.states_per_sec:,.0f} states/sec"
+              + (", exact visited set" if report.exact else "") + ")")
         if args.symmetry:
-            note = f" ({rep.symmetry_note})" if rep.symmetry_note else ""
-            print(f"symmetry: group order {rep.symmetry_order}{note}")
+            note = (f" ({report.symmetry_note})"
+                    if report.symmetry_note else "")
+            print(f"symmetry: group order {report.symmetry_order}{note}")
         if args.por:
-            if rep.por:
-                print(f"por:      {rep.pruned} sleep-pruned expansions")
+            if report.por:
+                print(f"por:      {report.pruned} sleep-pruned expansions")
             else:
-                print(f"por:      {rep.por_note}")
-        if args.memory != "atomic":
-            print(f"memory:   {args.memory} registers (adversary also "
-                  f"chooses contended read values)")
-        print(rep.guarantee())
-        if not rep.ok:
-            print(f"witness configuration: {rep.witness}")
-        return 0 if rep.ok else 1
-    if args.symmetry or args.por or args.exact or args.telemetry:
-        print("error: --symmetry/--por/--exact/--telemetry "
-              "require --engine fingerprints")
-        return 2
-    report = verify_safety(protocol, inputs, max_depth=args.depth,
-                           max_states=args.max_states, memory=args.memory,
-                           engine=args.engine)
-    print(f"protocol: {protocol.name}, inputs {inputs}")
+                print(f"por:      {report.por_note}")
+    else:
+        report = verify_safety(protocol, inputs, max_depth=args.depth,
+                               max_states=args.max_states,
+                               memory=args.memory, engine=args.engine)
+    # The rest is one report, whichever engine searched.
     if args.memory != "atomic":
         print(f"memory:   {args.memory} registers (adversary also "
               f"chooses contended read values)")
@@ -541,6 +537,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
                          "(it times the setup and loop layers of runs "
                          "in this process, and supervised batches "
                          "always run on worker processes)")
+    if args.profile and args.engine == "vector":
+        raise SystemExit("--profile does not support --engine vector "
+                         "(the lockstep batch computes every run before "
+                         "the profiler sees it, so it would time only "
+                         "the replay into the sinks)")
     if args.folded and not args.profile:
         raise SystemExit("--folded needs --profile (it exports the "
                          "profiler's component attribution)")

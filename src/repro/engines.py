@@ -61,8 +61,6 @@ class EngineInfo:
     name: str
     kind: str
     summary: str
-    #: Supports regular/safe register semantics (all built-ins do).
-    weak_memory: bool = True
     #: Checker only: supports the verified symmetry/POR reductions
     #: and the exact-visited-set toggle.
     reductions: bool = False

@@ -40,6 +40,7 @@ from repro.obs.hooks import BaseSink, make_hub
 from repro.sim.config import Configuration
 from repro.sim.kernel import RunResult
 from repro.sim.memory import MemorySpec, memory_spec
+from repro.sim.ops import ReadOp
 from repro.sim.rng import ReplayableRng
 from repro.sim.trace import StepRecord, Trace
 
@@ -847,20 +848,30 @@ def _rng_from(rnd) -> ReplayableRng:
 # ----------------------------------------------------------------------
 
 
-def _decode_step(cp: CompiledProtocol, step):
-    """(pid, b, result_vid, dec_vid) -> (pid, op, nb, result, decided)."""
-    pid, b, rv, dv = step
-    op = cp.br_op[b]
-    nb = cp.state_nb[cp.br_state[b]]
-    result = cp.values[rv] if rv >= 0 else None
-    decided = cp.values[dv] if dv >= 0 else None
-    return pid, op, nb, result, decided
+def _decode_steps(cp: CompiledProtocol, rec: RunRecord):
+    """Yield ``(pid, op, nb, result, decided)`` per recorded step.
+
+    A read returns what the slot's last write wrote, as written: its
+    interned value compares equal but may differ in type (``1`` for
+    ``True``, ``0.0`` for ``-0.0``), which a journal would show.
+    """
+    slots = list(cp.layout.initial_values())
+    for pid, b, _, dv in rec.steps:
+        op = cp.br_op[b]
+        slot = cp.br_slot[b]
+        if cp.br_is_read[b]:
+            result = slots[slot]
+        else:
+            result = None
+            slots[slot] = op.value
+        decided = cp.values[dv] if dv >= 0 else None
+        yield pid, op, cp.state_nb[cp.br_state[b]], result, decided
 
 
 def _build_trace(cp: CompiledProtocol, rec: RunRecord) -> Trace:
     trace = Trace()
-    for index, step in enumerate(rec.steps):
-        pid, op, _, result, decided = _decode_step(cp, step)
+    for index, (pid, op, _, result, decided) in enumerate(
+            _decode_steps(cp, rec)):
         trace.append(StepRecord(index=index, pid=pid, op=op,
                                 result=result, decided=decided))
     return trace
@@ -886,12 +897,12 @@ def replay_run(cp: CompiledProtocol, result: RunResult, rec: RunRecord,
     protocol = cp.protocol
     hub.run_start(protocol.name, cp.n_processes, result.inputs)
     activations = dict.fromkeys(range(cp.n_processes), 0)
-    for index, step in enumerate(rec.steps):
-        pid, op, nb, res, decided = _decode_step(cp, step)
+    for index, (pid, op, nb, res, decided) in enumerate(
+            _decode_steps(cp, rec)):
         hub.sched(index + 1)
         if nb > 1:
             hub.coin_flip(pid, nb)
-        if step[2] >= 0 or cp.br_is_read[step[1]]:
+        if isinstance(op, ReadOp):
             hub.read(pid, op.register, res)
         else:
             hub.write(pid, op.register, op.value)

@@ -134,7 +134,8 @@ class MPSimulation:
         self.inputs = tuple(inputs)
         self.scheduler = scheduler
         self.states: List[Hashable] = []
-        self.in_flight: List[Message] = []
+        #: In-flight messages by ``uid``, in send order.
+        self.in_flight: Dict[int, Message] = {}
         self.crashed: frozenset = frozenset()
         self.decisions: Dict[int, Hashable] = {}
         self.deliveries = 0
@@ -158,10 +159,9 @@ class MPSimulation:
         for dest, payload in sends:
             if not 0 <= dest < self.protocol.n_processes:
                 raise SimulationError(f"message to unknown process {dest}")
-            self.in_flight.append(
-                Message(sender=sender, dest=dest, payload=payload,
-                        uid=next(self._uid))
-            )
+            uid = next(self._uid)
+            self.in_flight[uid] = Message(sender=sender, dest=dest,
+                                          payload=payload, uid=uid)
             self.messages_sent += 1
 
     def _note_decision(self, pid: int) -> None:
@@ -176,7 +176,7 @@ class MPSimulation:
         unconsumed mail is irrelevant to the run's outcome.
         """
         return [
-            m for m in self.in_flight
+            m for m in self.in_flight.values()
             if m.dest not in self.crashed and m.dest not in self.decisions
         ]
 
@@ -186,11 +186,11 @@ class MPSimulation:
         self.crashed = self.crashed | {pid}
 
     def deliver(self, message: Message) -> None:
-        if message not in self.in_flight:
+        if self.in_flight.get(message.uid) != message:
             raise SimulationError("delivering a message not in flight")
         if message.dest in self.crashed:
             raise SimulationError("delivering to a crashed process")
-        self.in_flight.remove(message)
+        del self.in_flight[message.uid]
         pid = message.dest
         if pid in self.decisions:
             return  # decided processes ignore mail

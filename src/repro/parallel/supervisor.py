@@ -54,9 +54,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Engine step-down order for ``on_fault="degrade"``: a shard faulting
 #: on one rung retries on the next.  All rungs are differentially
-#: verified bit-identical (tests/test_kernel_fastpath.py,
-#: tests/test_ir_lowering.py, docs/IR.md §5), so degradation trades
-#: speed for robustness, never results.
+#: verified bit-identical (tests/test_differential.py, docs/IR.md §5),
+#: so degradation trades speed for robustness, never results.
 DEGRADE_LADDER = ("vector", "fast", "reference")
 
 #: Recognized ``on_fault`` policies.

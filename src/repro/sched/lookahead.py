@@ -51,6 +51,9 @@ class LookaheadAdversary(Scheduler):
             raise ValueError("discount must be in (0, 1]")
         self._horizon = horizon
         self._discount = discount
+        # Expansion memo shared by every decision point: the same
+        # ``(pid, state)`` recurs across the whole game tree and run.
+        self._cache = None
 
     @property
     def name(self) -> str:
@@ -58,13 +61,19 @@ class LookaheadAdversary(Scheduler):
 
     def choose(self, view: SchedulerView) -> Activate:
         from repro.checker.explorer import successors
+        from repro.sim.transitions import TransitionCache
 
         protocol = view.protocol
         layout = view.layout
+        cache = self._cache
+        if cache is None or cache.protocol is not protocol:
+            cache = self._cache = TransitionCache(protocol, layout,
+                                                  strict=False)
         memo: Dict[Tuple[Configuration, int], float] = {}
-
-        def decided_count(config: Configuration) -> int:
-            return len(config.decisions(protocol))
+        # A step moves only its processor, which was undecided, so it
+        # adds a decision exactly when that processor's new state has
+        # an output.
+        output = cache.output
 
         def value(config: Configuration, depth: int) -> float:
             """Expected discounted decision mass from here (adversary
@@ -74,10 +83,9 @@ class LookaheadAdversary(Scheduler):
             key = (config, depth)
             if key in memo:
                 return memo[key]
-            base = decided_count(config)
             by_pid: Dict[int, float] = {}
-            for s in successors(protocol, layout, config):
-                newly = decided_count(s.config) - base
+            for s in successors(protocol, layout, config, cache):
+                newly = output(s.pid, s.config.states[s.pid]) is not None
                 contrib = s.probability * (
                     newly * (self._discount ** (self._horizon - depth))
                     + value(s.config, depth - 1)
@@ -91,10 +99,9 @@ class LookaheadAdversary(Scheduler):
             return best
 
         config = view.configuration
-        base = decided_count(config)
         scores: Dict[int, float] = {}
-        for s in successors(protocol, layout, config):
-            newly = decided_count(s.config) - base
+        for s in successors(protocol, layout, config, cache):
+            newly = output(s.pid, s.config.states[s.pid]) is not None
             contrib = s.probability * (
                 newly + value(s.config, self._horizon - 1)
             )

@@ -32,9 +32,8 @@ with exactly one step body:
   + validation + access check per step, and its own hook emissions.
 
 The two paths consume randomness identically (same streams, same draw
-counts) and produce bit-identical :class:`RunResult`s; the differential
-suites in ``tests/test_kernel_fastpath.py`` and the Hypothesis harness
-enforce that.  The fast path additionally requires the
+counts) and produce bit-identical :class:`RunResult`s; the engine
+differential harness (``tests/test_differential.py``) enforces that.  The fast path additionally requires the
 :class:`~repro.sim.transitions.TransitionCache` contract (hashable,
 transition-stable states); protocols that violate it must pass
 ``engine="reference"``.
@@ -42,7 +41,7 @@ transition-stable states); protocols that violate it must pass
 A third engine lives *outside* this class: :mod:`repro.ir` lowers
 finite protocols to integer tables and steps whole Monte-Carlo batches
 in lockstep (``engine="vector"``), held to this kernel's
-:class:`RunResult` by ``tests/test_ir_lowering.py`` (docs/IR.md §4, §5).
+:class:`RunResult` by the same harness (docs/IR.md §4, §5).
 
 Register semantics are pluggable (:mod:`repro.sim.memory`,
 docs/MODEL.md).  Under the default

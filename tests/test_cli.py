@@ -202,6 +202,11 @@ class TestReport:
         with pytest.raises(SystemExit, match="workers 1"):
             main(["report", "--runs", "5", "--workers", "2", "--profile"])
 
+    def test_report_timing_rejected_with_vector_engine(self):
+        with pytest.raises(SystemExit, match="lockstep batch"):
+            main(["report", "--runs", "5", "--engine", "vector",
+                  "--profile"])
+
     def test_report_bad_worker_count_rejected(self, capsys):
         with pytest.raises(SystemExit, match="workers"):
             main(["report", "--runs", "5", "--workers", "0"])

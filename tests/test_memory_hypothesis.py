@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from test_kernel_fastpath import TableAutomaton, automaton_specs
+from differential import TableAutomaton, automaton_specs
 
 from repro.obs.hooks import BaseSink
 from repro.sched.simple import RandomScheduler

@@ -2,12 +2,13 @@
 
 Covers the :mod:`repro.sim.memory` models directly, the kernel's
 read-value resolution vocabulary (``Scheduler.resolve_read`` and
-``Activate(pid, read_value=...)``), the fast-vs-reference differential
-matrix under weak semantics, atomic zero-cost identity, journal schema
-v2, batch/parallel threading of :class:`MemorySpec`, and the checker's
-weak-memory branching (the Hadzilacos–Hu–Toueg-style claims: regular
-registers keep two-process consensus consistent, safe registers admit a
-replayable garbage-read anomaly).
+``Activate(pid, read_value=...)``), atomic zero-cost identity, journal
+schema v2, batch/parallel threading of :class:`MemorySpec`, and the
+checker's weak-memory branching (the Hadzilacos–Hu–Toueg-style claims:
+regular registers keep two-process consensus consistent, safe
+registers admit a replayable garbage-read anomaly).  That every engine
+matches ``reference`` under weak semantics is the differential
+harness's job (``tests/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import pickle
 
 import pytest
 
+from differential import SCHEDULERS, assert_identical
 from repro.checker import (
     find_memory_anomaly,
     replay_witness,
     verify_safety,
 )
-from repro.core.three_bounded import ThreeBoundedProtocol
 from repro.core.two_process import TwoProcessProtocol
 from repro.core.consensus import solve
 from repro.errors import SimulationError
@@ -345,86 +346,6 @@ class TestKernelResolution:
         assert result.consistent
 
 
-# ----------------------------------------------------------------------
-# Differential matrix: fast vs reference under every semantics
-# ----------------------------------------------------------------------
-
-
-def _run_pair_results(protocol_factory, inputs, scheduler_factory, seed,
-                      memory, sinks_factory=None):
-    out = []
-    for engine in ("fast", "reference"):
-        rng = ReplayableRng(seed)
-        sinks = sinks_factory() if sinks_factory else ()
-        sim = Simulation(protocol_factory(), inputs,
-                         scheduler_factory(rng.child("sched")),
-                         rng.child("kernel"), engine=engine, sinks=sinks,
-                         memory=memory)
-        result = sim.run(3_000)
-        draws = tuple(r.draws for r in sim._proc_rngs)
-        out.append((result, draws, sinks))
-    return out
-
-
-def _assert_same(res_a, res_b):
-    assert res_a.decisions == res_b.decisions
-    assert res_a.activations == res_b.activations
-    assert res_a.coin_flips == res_b.coin_flips
-    assert res_a.total_steps == res_b.total_steps
-    assert res_a.completed == res_b.completed
-    assert res_a.sched_consults == res_b.sched_consults
-    assert res_a.read_resolutions == res_b.read_resolutions
-    assert res_a.memory == res_b.memory
-    assert res_a.final_configuration == res_b.final_configuration
-
-
-WEAK_SCHEDULERS = {
-    "commit": lambda rng: ReadValueAdversary(RandomScheduler(rng),
-                                             policy="commit"),
-    "adversarial": lambda rng: ReadValueAdversary(RandomScheduler(rng),
-                                                  policy="adversarial"),
-    "random": lambda rng: ReadValueAdversary(
-        RandomScheduler(rng), policy="random", rng=rng.child("rv")),
-}
-
-
-class TestWeakDifferential:
-    @pytest.mark.parametrize("memory", ["regular", "safe"])
-    @pytest.mark.parametrize("policy", sorted(WEAK_SCHEDULERS))
-    def test_fast_equals_reference(self, memory, policy):
-        for seed in (1, 7, 42):
-            (res_f, draws_f, _), (res_r, draws_r, _) = _run_pair_results(
-                lambda: TwoProcessProtocol(), ("a", "b"),
-                WEAK_SCHEDULERS[policy], seed, memory)
-            _assert_same(res_f, res_r)
-            assert draws_f == draws_r
-
-    @pytest.mark.parametrize("memory", ["regular", "safe"])
-    def test_three_bounded_fast_equals_reference(self, memory):
-        for seed in (3, 11):
-            (res_f, draws_f, _), (res_r, draws_r, _) = _run_pair_results(
-                lambda: ThreeBoundedProtocol(), ("a", "b", "b"),
-                WEAK_SCHEDULERS["adversarial"], seed, memory)
-            _assert_same(res_f, res_r)
-            assert draws_f == draws_r
-
-    def test_journal_bytes_identical_under_regular(self, tmp_path):
-        payloads = {}
-        for engine in ("fast", "reference"):
-            path = tmp_path / f"j_{engine}.jsonl"
-            journal = JsonlJournal(str(path), memory="regular")
-            rng = ReplayableRng(13)
-            sim = Simulation(
-                TwoProcessProtocol(), ("a", "b"),
-                WEAK_SCHEDULERS["adversarial"](rng.child("sched")),
-                rng.child("kernel"), engine=engine, sinks=(journal,),
-                memory="regular")
-            sim.run(3_000)
-            journal.close()
-            payloads[engine] = path.read_bytes()
-        assert payloads["fast"] == payloads["reference"]
-
-
 class TestAtomicZeroCostIdentity:
     """memory='atomic' and memory=None must be the same engine."""
 
@@ -442,11 +363,9 @@ class TestAtomicZeroCostIdentity:
             journal.close()
             payloads[tag] = (result, tuple(r.draws for r in sim._proc_rngs),
                              path.read_bytes())
-        res_d, draws_d, bytes_d = payloads["default"]
-        res_e, draws_e, bytes_e = payloads["explicit"]
-        _assert_same(res_d, res_e)
-        assert draws_d == draws_e
-        assert bytes_d == bytes_e
+        (res_d, *rest_d), (res_e, *rest_e) = payloads.values()
+        assert_identical(res_d, res_e)
+        assert rest_d == rest_e
 
     def test_fast_buffer_is_the_model_storage(self):
         sim = Simulation(TwoProcessProtocol(), ("a", "b"),
@@ -508,7 +427,7 @@ class TestJournalV2:
         metrics = MetricsRegistry()
         rng = ReplayableRng(seed)
         sim = Simulation(TwoProcessProtocol(), ("a", "b"),
-                         WEAK_SCHEDULERS["adversarial"](rng.child("sched")),
+                         SCHEDULERS["rv_adversarial"](rng.child("sched")),
                          rng.child("kernel"), sinks=(journal, metrics),
                          memory=memory)
         sim.run(3_000)

@@ -8,6 +8,7 @@ from repro.errors import SimulationError
 from repro.msgpass import (
     BenOrProtocol,
     FifoDelivery,
+    Message,
     MPSimulation,
     PartitionAdversary,
     RandomDelivery,
@@ -48,6 +49,19 @@ class TestNetMachine:
         assert all(m.dest != 2 for m in sim.deliverable())
         with pytest.raises(SimulationError):
             sim.crash(2)
+
+    def test_delivering_a_message_not_in_flight_raises(self):
+        sim = MPSimulation(BenOrProtocol(3, 1), (0, 1, 1),
+                           FifoDelivery(), ReplayableRng(1))
+        first = sim.deliverable()[0]
+        forged = Message(sender=first.sender, dest=first.dest,
+                         payload=("forged",), uid=first.uid)
+        for message in (forged, Message(0, 1, first.payload, uid=10 ** 6)):
+            with pytest.raises(SimulationError):
+                sim.deliver(message)
+        sim.deliver(first)
+        with pytest.raises(SimulationError):
+            sim.deliver(first)  # already delivered
 
     def test_wrong_arity_rejected(self):
         rng = ReplayableRng(0)

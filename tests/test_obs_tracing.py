@@ -5,8 +5,7 @@ The tracer's contract has three legs:
 1. **Non-perturbation** — attaching a tracer must not change a seeded
    run in any observable way: same RunResult fields, same per-processor
    RNG draw counts, same journal bytes.  Enforced differentially across
-   the protocol × scheduler × memory matrix (the
-   ``test_kernel_fastpath`` idiom).
+   the zoo of ``tests/differential.py`` (protocol × scheduler × memory).
 2. **Deterministic identity** — trace and span ids are pure functions
    of the replay key ``(root_seed, run_index)``; replaying a run
    reproduces its byte-identical span tree.
@@ -21,80 +20,19 @@ import time
 
 import pytest
 
+from differential import (CELLS, MEMORIES, PROTOCOLS, SCHEDULERS,
+                          assert_identical, run_cell, run_zoo)
 from repro.checker.explorer import explore
 from repro.core.consensus import solve
-from repro.core.n_process import NProcessProtocol
-from repro.core.three_bounded import ThreeBoundedProtocol
-from repro.core.three_unbounded import ThreeUnboundedProtocol
 from repro.core.two_process import TwoProcessProtocol
-from repro.obs import JsonlJournal, MetricsRegistry, replay_journal
+from repro.obs import JsonlJournal, replay_journal
 from repro.obs.journal import iter_spans, verify_journal
 from repro.obs.tracing import (Span, Tracer, render_span_tree, span_id_for,
                                trace_id_for)
-from repro.sched.adversary import DisagreementAdversary, SplitVoteAdversary
 from repro.sched.crash import CrashingScheduler, CrashPlan
-from repro.sched.simple import (
-    FixedScheduler,
-    ObliviousScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-)
+from repro.sched.simple import RandomScheduler
 from repro.sim.kernel import Simulation
 from repro.sim.rng import ReplayableRng
-
-
-# ----------------------------------------------------------------------
-# Harness (mirrors tests/test_kernel_fastpath.py)
-# ----------------------------------------------------------------------
-
-def run_one(protocol_factory, inputs, scheduler_factory, seed, *,
-            engine="fast", memory=None, max_steps=3_000, sinks=None):
-    """One run with the runner's exact seed-derivation discipline."""
-    rng = ReplayableRng(seed)
-    scheduler = scheduler_factory(rng.child("sched"))
-    sim = Simulation(
-        protocol_factory(), inputs, scheduler, rng.child("kernel"),
-        engine=engine, sinks=sinks, memory=memory,
-    )
-    result = sim.run(max_steps)
-    draws = tuple(r.draws for r in sim._proc_rngs)
-    return result, draws
-
-
-def assert_identical(res_a, res_b):
-    assert res_a.protocol_name == res_b.protocol_name
-    assert res_a.inputs == res_b.inputs
-    assert res_a.decisions == res_b.decisions
-    assert res_a.activations == res_b.activations
-    assert res_a.decision_activation == res_b.decision_activation
-    assert res_a.coin_flips == res_b.coin_flips
-    assert res_a.total_steps == res_b.total_steps
-    assert res_a.crashed == res_b.crashed
-    assert res_a.completed == res_b.completed
-    assert res_a.sched_consults == res_b.sched_consults
-    assert res_a.final_configuration == res_b.final_configuration
-
-
-PROTOCOLS = {
-    "two_process": (lambda: TwoProcessProtocol(values=("a", "b")),
-                    ("a", "b")),
-    "three_unbounded": (lambda: ThreeUnboundedProtocol(), ("a", "b", "a")),
-    "three_bounded": (lambda: ThreeBoundedProtocol(), ("a", "b", "b")),
-    "n_process_4": (lambda: NProcessProtocol(4), ("a", "b", "b", "a")),
-}
-
-SCHEDULERS = {
-    "random": lambda rng: RandomScheduler(rng),
-    "round_robin": lambda rng: RoundRobinScheduler(),
-    "fixed": lambda rng: FixedScheduler([0, 0, 1, 0, 1, 1, 0]),
-    "oblivious": lambda rng: ObliviousScheduler(rng),
-    "crashing": lambda rng: CrashingScheduler(
-        RandomScheduler(rng), CrashPlan(at_step={3: (1,)})),
-    "disagreement": lambda rng: DisagreementAdversary(),
-    "split_vote": lambda rng: SplitVoteAdversary(),
-}
-
-MEMORIES = ("atomic", "regular", "safe")
 
 SEED = 7
 
@@ -104,14 +42,10 @@ SEED = 7
 # ----------------------------------------------------------------------
 
 class TestTracerNonPerturbation:
-    @pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
-    @pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-    def test_results_identical_with_tracer(self, protocol_name,
-                                           scheduler_name):
-        factory, inputs = PROTOCOLS[protocol_name]
-        sched = SCHEDULERS[scheduler_name]
-        bare, draws_bare = run_one(factory, inputs, sched, SEED)
-        traced, draws_traced = run_one(factory, inputs, sched, SEED,
+    @pytest.mark.parametrize("cell", CELLS, ids="-".join)
+    def test_results_identical_with_tracer(self, cell):
+        bare, draws_bare = run_zoo("fast", cell, SEED)
+        traced, draws_traced = run_zoo("fast", cell, SEED,
                                        sinks=(Tracer(),))
         assert_identical(bare, traced)
         assert draws_bare == draws_traced
@@ -121,25 +55,20 @@ class TestTracerNonPerturbation:
     @pytest.mark.parametrize("engine", ("fast", "reference"))
     def test_memory_matrix_identical_with_tracer(self, protocol_name,
                                                  memory, engine):
-        factory, inputs = PROTOCOLS[protocol_name]
-        sched = SCHEDULERS["random"]
-        bare, draws_bare = run_one(factory, inputs, sched, SEED,
-                                   engine=engine, memory=memory)
-        traced, draws_traced = run_one(factory, inputs, sched, SEED,
-                                       engine=engine, memory=memory,
+        cell = (protocol_name, "random", memory)
+        bare, draws_bare = run_zoo(engine, cell, SEED)
+        traced, draws_traced = run_zoo(engine, cell, SEED,
                                        sinks=(Tracer(),))
         assert_identical(bare, traced)
         assert draws_bare == draws_traced
 
     @pytest.mark.parametrize("memory", MEMORIES)
     def test_journal_bytes_identical_with_tracer(self, tmp_path, memory):
-        factory, inputs = PROTOCOLS["three_bounded"]
-        sched = SCHEDULERS["split_vote"]
         paths = []
         for label, extra in (("bare", ()), ("traced", (Tracer(),))):
             path = tmp_path / f"{label}.jsonl"
             journal = JsonlJournal(str(path), memory=memory)
-            run_one(factory, inputs, sched, SEED, memory=memory,
+            run_zoo("fast", ("three_bounded", "split_vote", memory), SEED,
                     sinks=(journal,) + extra)
             journal.close()
             paths.append(path)
@@ -208,8 +137,10 @@ class TestDeterministicIdentity:
     def test_direct_simulation_synthesizes_keys(self):
         tracer = Tracer()
         for expected_index in (0, 1):
-            run_one(*PROTOCOLS["two_process"], SCHEDULERS["random"],
-                    SEED, sinks=(tracer,))
+            rng = ReplayableRng(SEED)
+            Simulation(TwoProcessProtocol(), ("a", "b"),
+                       RandomScheduler(rng.child("sched")),
+                       rng.child("kernel"), sinks=(tracer,)).run(3_000)
             assert tracer.trace()[0].trace_id \
                 == trace_id_for(0, expected_index)
 
@@ -234,14 +165,12 @@ class TestSpanTree:
         assert run.attrs["run_index"] == 0 and run.attrs["root_seed"] == 1
 
     def test_memory_resolve_spans_nest_under_steps(self):
-        from repro.sched.adversary import ReadValueAdversary
-
-        factory, inputs = PROTOCOLS["two_process"]
         tracer = Tracer()
-        run_one(factory, inputs,
-                lambda rng: ReadValueAdversary(RandomScheduler(rng),
-                                               policy="adversarial"),
-                SEED, memory="safe", sinks=(tracer,))
+        rng = ReplayableRng(SEED)
+        Simulation(TwoProcessProtocol(), ("a", "b"),
+                   SCHEDULERS["rv_adversarial"](rng.child("sched")),
+                   rng.child("kernel"), sinks=(tracer,),
+                   memory="safe").run(3_000)
         resolves = [s for s in tracer.trace()
                     if s.name == "memory.resolve"]
         assert resolves, "an adversarial safe run must resolve reads"
@@ -254,8 +183,8 @@ class TestSpanTree:
     def test_crash_span_recorded(self):
         factory, inputs = PROTOCOLS["three_bounded"]
         tracer = Tracer()
-        result, _ = run_one(
-            factory, inputs,
+        result, _ = run_cell(
+            "fast", factory, inputs,
             lambda rng: CrashingScheduler(RandomScheduler(rng),
                                           CrashPlan(at_step={3: 1})),
             SEED, sinks=(tracer,))
