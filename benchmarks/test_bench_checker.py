@@ -16,8 +16,7 @@ harness (docs/CHECKER.md §6):
 * **Speedup gate:** visited-states/sec of the fingerprint engine vs
   the objects BFS on the n_process(4) depth-bounded cell.  Both
   engines run back-to-back in this process, so the ratio needs no
-  stored-baseline host check (same reasoning as the ir-bench's
-  in-process gate) — the ISSUE's >= 10x floor binds unconditionally.
+  stored-baseline host check — the >= 10x floor binds unconditionally.
 * **Scale cells (recorded, asserted exhaustive):** the paper's
   three-processor bounded protocol — 17.36M reachable configurations,
   far beyond the objects BFS's practical reach — explored exhaustively

@@ -3,9 +3,9 @@
 Deliberately small: means, standard deviations, normal-approximation
 confidence intervals, empirical tail curves, and a least-squares fit of
 a geometric decay rate (used to compare measured tails against the
-paper's (1/4)^(k/2) and (3/4)^k envelopes).  NumPy is available in the
-environment but unnecessary at these data sizes, and keeping the
-arithmetic explicit makes the benchmark output auditable.
+paper's (1/4)^(k/2) and (3/4)^k envelopes).  Plain Python suffices at
+these data sizes, and keeping the arithmetic explicit makes the
+benchmark output auditable.
 """
 
 from __future__ import annotations

@@ -211,6 +211,9 @@ class ConfigGraph:
     ``edges[c]`` lists the successors of configuration ``c``;
     configurations in ``frontier`` were reached but not expanded
     (budget exhaustion), so the graph is complete iff ``complete``.
+    ``complete_depth`` is the deepest BFS level whose configurations
+    were all discovered: a state budget can stop the search part-way
+    through discovering the level below it.
     """
 
     protocol: Automaton
@@ -220,6 +223,7 @@ class ConfigGraph:
     depth_of: Dict[Configuration, int]
     frontier: Tuple[Configuration, ...]
     complete: bool
+    complete_depth: int
 
     @property
     def n_states(self) -> int:
@@ -292,6 +296,9 @@ def explore(
     edges: Dict[Configuration, Tuple[Successor, ...]] = {}
     frontier: List[Configuration] = []
     complete = True
+    # The level being expanded when the state budget ran out; its own
+    # configurations were all discovered, the next level's were not.
+    budget_depth: Optional[int] = None
     queue = collections.deque([root])
 
     if on_node is not None:
@@ -315,6 +322,7 @@ def explore(
             if s.config not in depth_of:
                 if len(depth_of) >= max_states:
                     complete = False
+                    budget_depth = depth
                     frontier.append(config)
                     break
                 depth_of[s.config] = depth + 1
@@ -340,6 +348,10 @@ def explore(
         depth_of=depth_of,
         frontier=tuple(frontier),
         complete=complete,
+        # BFS discovers levels in order, so the last discovered
+        # configuration is the deepest.
+        complete_depth=(next(reversed(depth_of.values()))
+                        if budget_depth is None else budget_depth),
     )
     if tracer is not None:
         tracer.record_explore(

@@ -82,7 +82,9 @@ class SafetyReport:
 
     ``ok`` means no violation was found; combined with ``complete``
     this distinguishes "verified on the full reachable space" from
-    "verified up to the exploration budget".
+    "verified up to the exploration budget".  ``max_depth_reached`` is
+    the deepest level whose configurations were all visited, the same
+    under every checker engine.
     """
 
     ok: bool
@@ -167,13 +169,9 @@ def verify_safety(
             witness=rep.witness,
         )
     input_set = set(inputs)
-    state: Dict[str, object] = {
-        "violation": None, "witness": None, "max_depth": 0,
-    }
+    state: Dict[str, object] = {"violation": None, "witness": None}
 
     def on_node(config: Configuration, depth: int) -> None:
-        if depth > state["max_depth"]:
-            state["max_depth"] = depth
         if state["violation"] is not None:
             return
         decided = config.decisions(protocol)
@@ -198,7 +196,7 @@ def verify_safety(
         ok=state["violation"] is None,
         complete=graph.complete,
         states_explored=graph.n_states,
-        max_depth_reached=state["max_depth"],
+        max_depth_reached=graph.complete_depth,
         violation=state["violation"],
         witness=state["witness"],
     )

@@ -539,9 +539,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
                          "always run on worker processes)")
     if args.profile and args.engine == "vector":
         raise SystemExit("--profile does not support --engine vector "
-                         "(the lockstep batch computes every run before "
-                         "the profiler sees it, so it would time only "
-                         "the replay into the sinks)")
+                         "(it computes each run before replaying it "
+                         "into the sinks, so the profiler would time "
+                         "only the replay)")
     if args.folded and not args.profile:
         raise SystemExit("--folded needs --profile (it exports the "
                          "profiler's component attribution)")
@@ -798,9 +798,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["atomic", "regular", "safe"],
                    help="register semantics every run executes under")
     _engine_argument(p, "sim",
-                     "execution backend; 'vector' steps the whole "
-                     "batch in lockstep through the compiled table IR "
-                     "— see docs/IR.md")
+                     "execution backend; 'vector' steps each run "
+                     "through the compiled table IR — see docs/IR.md")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="content-addressed run store: shards already "
                         "committed for this exact sweep are loaded "

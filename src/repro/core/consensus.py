@@ -118,8 +118,12 @@ def solve(
 
         vk = VectorKernel(compile_protocol(protocol),
                           vectorize_scheduler(scheduler), memory=memory)
-        result, rec = vk.run_single(
-            scheduler, rng.child("kernel"), tuple(inputs), max_steps,
+        # A random scheduler's own stream is the one the interpreted
+        # kernels would consult; round-robin consults none.
+        sched_rng = scheduler._rng if vk.sched_spec[0] == "random" \
+            else None
+        result, rec = vk.run(
+            inputs, sched_rng, rng.child("kernel"), max_steps,
             record=bool(sinks), record_trace=record_trace)
         if sinks:
             replay_run(vk.compiled, result, rec, sinks, seed, 0)

@@ -65,7 +65,7 @@ class EngineInfo:
     #: and the exact-visited-set toggle.
     reductions: bool = False
     #: Sim only: constructible as a standalone ``Simulation`` (the
-    #: vector backend needs the batch entry points instead).
+    #: vector backend runs through ``solve`` and the runner instead).
     standalone: bool = False
     #: Resolved when the caller passes ``engine=None``.
     default: bool = False
@@ -149,8 +149,8 @@ def resolve_sim_engine(engine: Optional[str] = None) -> EngineInfo:
 #
 # Registered through the public API so external backends look exactly
 # like these.  Keep the registrations here (not in the implementing
-# modules): the registry must be importable without dragging in numpy
-# or the checker, and the implementing modules all import *us* for
+# modules): the registry must be importable without dragging in the
+# IR or the checker, and the implementing modules all import *us* for
 # resolution.
 
 register_engine(EngineInfo(
@@ -166,7 +166,7 @@ register_engine(EngineInfo(
     standalone=True, default=True))
 register_engine(EngineInfo(
     name="vector", kind=SIM,
-    summary=("compiled table IR stepping lockstep mega-batches "
+    summary=("steps each run over the compiled table IR "
              "(docs/IR.md); raises IRUnsupportedError outside the "
              "supported matrix")))
 

@@ -1,10 +1,9 @@
 """Table IR: finite protocols lowered to integer arrays.
 
 ``repro.ir`` is the layer between the object-level protocol automata
-(:mod:`repro.core`) and the batch engines: :mod:`repro.ir.lower` interns
-states/values/branches into dense tables, :mod:`repro.ir.mt` vectorizes
-the CPython RNG those tables are stepped with, and
-:mod:`repro.ir.vector` is the lockstep mega-batch executor behind
+(:mod:`repro.core`) and the engines that step integers:
+:mod:`repro.ir.lower` interns states/values/branches into dense tables,
+and :mod:`repro.ir.vector` steps runs over those tables behind
 ``engine="vector"``.  The IR layout, lowering rules, determinism
 contract, and refusal cases are specified in docs/IR.md.
 """
@@ -20,13 +19,9 @@ _EXPORTS = {
         "MAX_VALUES",
         "compile_protocol",
     ),
-    # NumPy-backed: imported only when one of these names is first read.
     "repro.ir.vector": (
-        "BATCH_CHUNK",
         "RunRecord",
-        "SCALAR_CUTOFF",
         "SUPPORTED_SCHEDULERS",
-        "VectorBatch",
         "VectorKernel",
         "replay_run",
         "vectorize_scheduler",

@@ -11,8 +11,8 @@ thought and lowers the whole protocol to *pure integer arrays*:
   ``(pid, state)`` pair, like the cache's keys),
 * register values and decision values become dense **value ids**
   (shared across registers, inputs, and decisions),
-* each state's branch distribution becomes a row of a **branch CDF
-  matrix** (prefix sums in the exact accumulation order of
+* each state's branch distribution becomes a contiguous run of
+  **branch rows** plus its weight total (summed in the exact order of
   :meth:`~repro.sim.rng.ReplayableRng.choice_index`),
 * each branch becomes one row of flat **opcode arrays** (read/write
   flag, register slot, write-value id),
@@ -22,11 +22,11 @@ thought and lowers the whole protocol to *pure integer arrays*:
   id (``-1`` while undecided).
 
 The result is a :class:`CompiledProtocol` that any engine can step
-without touching a single protocol object — the vectorized mega-batch
-backend (:mod:`repro.ir.vector`) advances thousands of runs per Python
-operation over these arrays, and the model checker can BFS over integer
-configurations.  The full byte-level layout, the lowering rules, and
-the determinism contract are specified in docs/IR.md.
+without touching a single protocol object — the table engine
+(:mod:`repro.ir.vector`) steps runs over these arrays, and the model
+checker can BFS over integer configurations.  The full layout, the
+lowering rules, and the determinism contract are specified in
+docs/IR.md.
 
 Two compilation modes (docs/IR.md §6):
 
@@ -90,9 +90,7 @@ class CompiledProtocol:
     """A protocol lowered to append-only integer tables.
 
     All tables are plain Python lists (exact ints/floats) so interning
-    can grow them in place; the vector backend mirrors them into NumPy
-    arrays incrementally (every table is append-only, and read-outcome
-    cell fills are journaled in :attr:`read_log`).  Indices:
+    can grow them in place.  Indices:
 
     ``sid``
         state id — one per interned ``(pid, state)`` pair.
@@ -136,9 +134,6 @@ class CompiledProtocol:
         self.state_out: List[int] = []
         #: ``float(sum(weights))`` for multi-branch states, else 0.0.
         self.state_total: List[float] = []
-        #: branch-CDF prefix sums (None unless multi-branch), in the
-        #: exact left-to-right accumulation order of ``choice_index``.
-        self.state_cum: List[Optional[Tuple[float, ...]]] = []
         self._state_ids: Dict[Tuple[int, Hashable], int] = {}
 
         # -- branch tables (one row per flat branch id) ---------------
@@ -155,14 +150,6 @@ class CompiledProtocol:
         self.br_read_out: List[Optional[Dict[int, int]]] = []
         #: write branches: successor sid; -1 for reads.
         self.br_write_next: List[int] = []
-        #: append-only journal of read-outcome cell fills
-        #: ``(b, vid, sid)`` — engines mirror the sparse dicts above
-        #: into dense matrices by draining this log.
-        self.read_log: List[Tuple[int, int, int]] = []
-        #: append-only journal of :meth:`ensure_compiled` completions —
-        #: engines drain it to sync only the states whose branch rows
-        #: changed instead of rescanning every table.
-        self.compile_log: List[int] = []
 
         # -- initial configuration ------------------------------------
         self.init_regs: Tuple[int, ...] = tuple(
@@ -212,7 +199,6 @@ class CompiledProtocol:
             self.state_nb.append(0 if out is not None else -1)
             self.state_base.append(-1)
             self.state_total.append(0.0)
-            self.state_cum.append(None)
             self._state_ids[key] = sid
         return sid
 
@@ -226,7 +212,7 @@ class CompiledProtocol:
         Mirrors :meth:`TransitionCache._build`: resolve each branch's
         op to a (kind, slot, write-vid) triple with the access check
         performed once, validate the distribution once under
-        ``strict``, and precompute the CDF prefix sums fed to the
+        ``strict``, and precompute the weight total fed to the
         engines' coin flips.  Write-branch successors are resolved
         eagerly (``observe`` of a write does not depend on memory);
         read-branch successors stay lazy per observed value
@@ -269,24 +255,16 @@ class CompiledProtocol:
             self.br_read_out.append(read_out)
             self.br_write_next.append(write_next)
         if len(branches) > 1:
-            weights = [b.probability for b in branches]
-            total = float(sum(weights))
-            cum = []
-            acc = 0.0
-            for w in weights:
-                acc += w
-                cum.append(acc)
-            self.state_total[sid] = total
-            self.state_cum[sid] = tuple(cum)
+            self.state_total[sid] = float(
+                sum(b.probability for b in branches))
         self.state_base[sid] = base
         self.state_nb[sid] = len(branches)
-        self.compile_log.append(sid)
 
     def read_outcome(self, b: int, vid: int) -> int:
         """Successor sid of read branch ``b`` observing value ``vid``.
 
         Fills the cell on first use (``observe`` + interning, possibly
-        discovering a new state) and journals it in :attr:`read_log`.
+        discovering a new state).
         """
         table = self.br_read_out[b]
         sid = table.get(vid)
@@ -297,7 +275,6 @@ class CompiledProtocol:
                 pid, self.state_obj[owner], self.br_op[b], self.values[vid])
             sid = self.intern_state(pid, new_state)
             table[vid] = sid
-            self.read_log.append((b, vid, sid))
         return sid
 
     def initial_sid(self, pid: int, input_value: Hashable) -> int:
@@ -465,7 +442,6 @@ class CompiledProtocol:
             "branches": self.n_branches,
             "values": self.n_values,
             "slots": self.n_slots,
-            "read_cells": len(self.read_log),
         }
 
 

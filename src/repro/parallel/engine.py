@@ -97,8 +97,8 @@ class BatchSpec:
     memory: MemorySpec = ATOMIC
     #: Execution backend name, resolved through the engine registry
     #: (:mod:`repro.engines`); ``None`` means the registry default
-    #: (``"fast"``).  Workers rebuild their runner with it, so a vector
-    #: batch shards into per-worker lockstep mega-batches (repro.ir).
+    #: (``"fast"``).  Workers rebuild their runner with it, so every
+    #: shard runs on the batch's engine.
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:

@@ -39,8 +39,8 @@ transition-stable states); protocols that violate it must pass
 ``engine="reference"``.
 
 A third engine lives *outside* this class: :mod:`repro.ir` lowers
-finite protocols to integer tables and steps whole Monte-Carlo batches
-in lockstep (``engine="vector"``), held to this kernel's
+finite protocols to integer tables and steps runs over them
+(``engine="vector"``), held to this kernel's
 :class:`RunResult` by the same harness (docs/IR.md §4, §5).
 
 Register semantics are pluggable (:mod:`repro.sim.memory`,
@@ -296,7 +296,7 @@ class Simulation:
         ``"fast"`` (the default) or ``"reference"`` — the escape hatch
         for protocols that are not transition-stable, and the kernel
         benchmark's baseline (docs/PERFORMANCE.md).  ``"vector"`` steps
-        whole batches; use :func:`repro.core.consensus.solve` or the
+        compiled tables; use :func:`repro.core.consensus.solve` or the
         runner for it.
     cache:
         A :class:`~repro.sim.transitions.TransitionCache` to reuse
@@ -338,7 +338,7 @@ class Simulation:
         info = resolve_sim_engine(engine)
         if not info.standalone:
             raise SimulationError(
-                f"engine {info.name!r} steps lockstep batches and cannot "
+                f"engine {info.name!r} steps compiled tables and cannot "
                 f"back a standalone Simulation; use solve(engine="
                 f"{info.name!r}) or ExperimentRunner(engine={info.name!r}) "
                 f"instead (docs/IR.md)")

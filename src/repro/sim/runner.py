@@ -263,11 +263,10 @@ class ExperimentRunner:
         self._sinks = tuple(sinks)
         # ``engine`` names the execution backend, resolved and
         # validated through the registry (repro.engines).  "vector"
-        # steps compiled integer tables in lockstep mega-batches
-        # (repro.ir) and is bit-identical to the interpreted kernels
-        # for the supported protocol × scheduler × memory matrix
-        # (docs/IR.md §5); it raises IRUnsupportedError at first use
-        # otherwise.
+        # steps each run over compiled integer tables (repro.ir) and
+        # is bit-identical to the interpreted kernels for the
+        # supported protocol × scheduler × memory matrix (docs/IR.md
+        # §5); it raises IRUnsupportedError at first use otherwise.
         self._engine = resolve_sim_engine(engine).name
         self._fast = self._engine == "fast"
         # Register semantics for every run of the batch (a picklable
@@ -279,7 +278,7 @@ class ExperimentRunner:
         # runs.  See repro.sim.transitions and docs/PERFORMANCE.md.
         self._cache: Optional[TransitionCache] = None
         # Lazily built VectorKernel (engine="vector"): the compiled
-        # tables and scheduler spec are shared by every batch chunk.
+        # tables and scheduler spec are shared by every run.
         self._vector = None
 
     @property
@@ -332,16 +331,15 @@ class ExperimentRunner:
         vk = self._vector_kernel()
         rng = ReplayableRng(self._seed).child("run", run_index)
         inputs = self._inputs_factory(run_index, rng.child("inputs"))
-        batch = vk.run_batch(self._seed, [run_index], [tuple(inputs)],
-                             max_steps=max_steps, record=bool(sinks),
-                             record_trace=record_trace)
-        result = batch.results[0]
+        result, rec = vk.run(inputs, rng.child("sched"),
+                             rng.child("kernel"), max_steps,
+                             record=bool(sinks), record_trace=record_trace)
         if sinks:
             # replay_run emits on_run_key first, then the kernel event
             # stream — the exact order an instrumented Simulation (and
             # run_one's interpreted path) produces.
-            replay_run(vk.compiled, result, batch.records[0], sinks,
-                       self._seed, run_index)
+            replay_run(vk.compiled, result, rec, sinks, self._seed,
+                       run_index)
         return result
 
     def run_one(self, run_index: int, max_steps: int,
@@ -395,51 +393,17 @@ class ExperimentRunner:
                   emitter=None) -> List[RunStats]:
         """Execute runs ``[start, stop)`` in index order.
 
-        The shared inner loop of serial batches and parallel shards.
-        Interpreted engines step one run at a time; the vector engine
-        executes lockstep mega-batches of up to
-        :data:`repro.ir.BATCH_CHUNK` runs and, when sinks are attached,
-        replays each run's recorded event stream into them in index
-        order — producing the same per-run results, journal bytes, and
-        metrics as the interpreted loop.  ``emitter`` (a
-        :class:`~repro.obs.telemetry.TelemetryEmitter`) receives one
-        ``record_run`` per run; under the vector engine heartbeats
-        arrive per chunk rather than per run, which only affects
-        wall-clock pacing, never results.
+        The shared inner loop of serial batches and parallel shards:
+        every engine steps one run at a time through :meth:`run_one`.
+        ``emitter`` (a :class:`~repro.obs.telemetry.TelemetryEmitter`)
+        receives one ``record_run`` per run.
         """
-        if self._engine != "vector":
-            runs = []
-            for i in range(start, stop):
-                result = self.run_one(i, max_steps, sinks=sinks)
-                runs.append(RunStats.from_result(i, result))
-                if emitter is not None:
-                    emitter.record_run(result.total_steps)
-            return runs
-        from repro.ir import BATCH_CHUNK, replay_run
-
-        vk = self._vector_kernel()
-        effective_sinks = self._sinks if sinks is None else tuple(sinks)
-        record = bool(effective_sinks)
-        root = ReplayableRng(self._seed)
         runs = []
-        for lo in range(start, stop, BATCH_CHUNK):
-            hi = min(lo + BATCH_CHUNK, stop)
-            indices = list(range(lo, hi))
-            inputs = [
-                tuple(self._inputs_factory(
-                    i, root.child("run", i).child("inputs")))
-                for i in indices
-            ]
-            batch = vk.run_batch(self._seed, indices, inputs,
-                                 max_steps=max_steps, record=record)
-            for j, i in enumerate(indices):
-                result = batch.results[j]
-                if record:
-                    replay_run(vk.compiled, result, batch.records[j],
-                               effective_sinks, self._seed, i)
-                runs.append(RunStats.from_result(i, result))
-                if emitter is not None:
-                    emitter.record_run(result.total_steps)
+        for i in range(start, stop):
+            result = self.run_one(i, max_steps, sinks=sinks)
+            runs.append(RunStats.from_result(i, result))
+            if emitter is not None:
+                emitter.record_run(result.total_steps)
         return runs
 
     def run_many(

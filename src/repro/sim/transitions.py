@@ -48,10 +48,10 @@ guarantees.
 down: it performs the same lowering :meth:`TransitionCache._build`
 does — branch tuple, weight sums in the same accumulation order,
 access-checked slots, memoized observe/output — but into flat integer
-arrays instead of per-state objects, so whole batches can step through
-the tables in lockstep (docs/IR.md §3 maps each cache field to its
-table twin).  The cache remains the one-run-at-a-time fast path and
-the engine of record for everything the IR refuses (docs/IR.md §6).
+arrays instead of per-state objects, so an engine can step runs
+through the tables (docs/IR.md §3 maps each cache field to its table
+twin).  The cache remains the fast path and the engine of record for
+everything the IR refuses (docs/IR.md §6).
 """
 
 from __future__ import annotations

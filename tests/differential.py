@@ -133,8 +133,8 @@ CELLS = [(p, s, "atomic") for p in PROTOCOLS for s in SCHEDULERS
     for s in ("random", "read_adversary") + RV_POLICIES
     for m in MEMORIES[1:]]
 
-#: The cells whose scheduler the vector engine can step in lockstep:
-#: state-blind and crash-free.
+#: The cells whose scheduler the vector engine can step: state-blind
+#: and crash-free.
 STATE_BLIND = ("random", "round_robin", "round_robin_1")
 
 
@@ -142,7 +142,7 @@ def refuses(engine, scheduler, memory):
     """Must ``engine`` raise IRUnsupportedError on this cell?
 
     Only ``vector`` refuses: adaptive, crashing or fixed schedulers
-    and weak registers are outside its lockstep tables (docs/IR.md §6).
+    and weak registers are outside its tables (docs/IR.md §6).
     """
     return engine == "vector" and (scheduler not in STATE_BLIND
                                    or memory != "atomic")

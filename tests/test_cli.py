@@ -52,6 +52,15 @@ class TestVerify:
                      "--inputs", "a,b,a", "--depth", "8"]) == 0
         assert "up to depth" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ("objects", "fingerprints"))
+    def test_budgeted_depth_same_under_both_engines(self, capsys, engine):
+        """The budget cuts level 7 part-way: both engines claim the
+        deepest level they visited completely."""
+        assert main(["verify", "--protocol", "naive", "--inputs", "a,a,b",
+                     "--max-states", "300", "--engine", engine]) == 0
+        assert "up to depth 6 (300 configurations)" \
+            in capsys.readouterr().out
+
 
 class TestImpossibility:
     def test_whole_zoo(self, capsys):
@@ -203,7 +212,7 @@ class TestReport:
             main(["report", "--runs", "5", "--workers", "2", "--profile"])
 
     def test_report_timing_rejected_with_vector_engine(self):
-        with pytest.raises(SystemExit, match="lockstep batch"):
+        with pytest.raises(SystemExit, match="only the replay"):
             main(["report", "--runs", "5", "--engine", "vector",
                   "--profile"])
 

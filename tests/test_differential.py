@@ -14,6 +14,7 @@ its verdict, violation message and witness.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import io
@@ -180,9 +181,7 @@ def test_run_one_matches_reference(engine):
 @pytest.mark.parametrize("engine", SIM_ENGINES)
 def test_run_many_matches_reference(tmp_path, engine, workers):
     """Run stats, merged metrics and journal bytes of a batch, serial
-    and sharded, match the reference engine's serial batch.  It is wide
-    enough that the vector engine steps it in lockstep (at least
-    ``repro.ir.vector.SCALAR_CUTOFF`` runs at once)."""
+    and sharded, match the reference engine's serial batch."""
     batches = {}
     for name, n_workers in ((engine, workers), (ORACLE_SIM, 1)):
         registry = MetricsRegistry()
@@ -329,9 +328,11 @@ def assert_verdicts_match(engine, protocol_factory, inputs, **options):
     assert (got.ok, got.violation, got.witness) \
         == (want.ok, want.violation, want.witness)
     if want.ok:
-        # A violation stops the search but not the objects BFS.
-        assert (got.complete, got.states_explored) \
-            == (want.complete, want.states_explored)
+        # A violation stops the search but not the objects BFS.  Under
+        # a state budget both report the deepest level they visited
+        # completely, not the one the budget cut part-way.
+        assert (got.complete, got.states_explored, got.max_depth_reached) \
+            == (want.complete, want.states_explored, want.max_depth_reached)
     return want
 
 
@@ -379,6 +380,29 @@ def test_violation_matches_objects(engine):
     assert (report.violation, report.witness) == (want.violation,
                                                   want.witness)
     assert "VIOLATION" in report.guarantee()
+
+
+@pytest.mark.parametrize("max_states", (1, 2, 3, 10, 50, 300, 1_000, 5_000,
+                                        10_000))
+def test_budgeted_depth_is_deepest_complete_level(max_states):
+    """Under a state budget every checker engine reports as its depth
+    the deepest BFS level whose configurations fit in the budget, read
+    off the level sizes of the unbudgeted objects BFS."""
+    inputs = ("a", "a", "b")
+    full = explore(NaiveProtocol(3), inputs)
+    sizes = collections.Counter(full.depth_of.values())
+    within, want = 0, 0
+    for depth in sorted(sizes):
+        within += sizes[depth]
+        if within > max_states:
+            break
+        want = depth
+    for engine in (ORACLE_CHECKER,) + CHECKER_ENGINES:
+        report = verify_safety(NaiveProtocol(3), inputs, engine=engine,
+                               max_states=max_states)
+        assert report.ok
+        assert report.complete == (max_states >= len(full.depth_of))
+        assert report.max_depth_reached == want, engine
 
 
 @settings(max_examples=15, deadline=None)

@@ -211,7 +211,7 @@ class TestCallSitesRouteThroughRegistry:
         from repro.sim.kernel import Simulation
         from repro.sim.rng import ReplayableRng
 
-        with pytest.raises(SimulationError, match="lockstep"):
+        with pytest.raises(SimulationError, match="standalone"):
             Simulation(TwoProcessProtocol(), ("a", "b"),
                        RoundRobinScheduler(), ReplayableRng(0),
                        engine="vector")

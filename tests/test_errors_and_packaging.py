@@ -33,8 +33,6 @@ CONSTANT_HOMES = {
     "__version__": "repro",
     "MAX_STATES": "repro.ir.lower",
     "MAX_VALUES": "repro.ir.lower",
-    "BATCH_CHUNK": "repro.ir.vector",
-    "SCALAR_CUTOFF": "repro.ir.vector",
     "SUPPORTED_SCHEDULERS": "repro.ir.vector",
     "DEGRADE_LADDER": "repro.parallel.supervisor",
     "PROTOCOL_NAMES": "repro.parallel.tasks",
@@ -46,8 +44,8 @@ CONSTANT_HOMES = {
 REPORT_FORBIDDEN = ("numpy", "repro.checker", "repro.ir", "repro.store",
                     "repro.obs.tracing", "repro.obs.export",
                     "multiprocessing")
-VERIFY_FORBIDDEN = ("numpy", "repro.ir.vector", "repro.ir.mt",
-                    "repro.store", "multiprocessing")
+VERIFY_FORBIDDEN = ("numpy", "repro.ir.vector", "repro.store",
+                    "multiprocessing")
 #: The protocol modules a ``--protocol two`` sweep never runs.
 NOT_TWO_PROTOCOLS = ("repro.core.three_unbounded",
                      "repro.core.three_bounded", "repro.core.n_process",
@@ -130,7 +128,10 @@ class TestPublicApi:
          NOT_TWO_PROTOCOLS),
         (["verify", "--engine", "fingerprints", "--max-states", "1"],
          VERIFY_FORBIDDEN),
-    ], ids=["report", "report-two-protocol-only", "verify-fingerprints"])
+        (["report", "--engine", "vector", "--runs", "1"], ("numpy",)),
+        (["solve", "--engine", "vector"], ("numpy",)),
+    ], ids=["report", "report-two-protocol-only", "verify-fingerprints",
+            "report-vector", "solve-vector"])
     def test_unit_command_import_budget(self, args, forbidden):
         loaded = _loaded_modules(
             f"from repro.cli import main\nmain({args!r})")
@@ -224,3 +225,19 @@ class TestRepositoryHygiene:
         for path in (ROOT / "src").rglob("*.py"):
             tree = ast.parse(path.read_text())
             assert ast.get_docstring(tree), f"{path} lacks a docstring"
+
+    def test_no_module_imports_numpy(self):
+        """The program and its tests run on the standard library alone."""
+        import ast
+
+        for path in [*(ROOT / "src").rglob("*.py"),
+                     *(ROOT / "tests").rglob("*.py")]:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(name.split(".")[0] == "numpy"
+                               for name in names), path

@@ -1,28 +1,20 @@
-"""Table-IR unit tests: lowering rules, refusals, backends and the RNG.
+"""Table-IR unit tests: lowering rules, refusals and run budgets.
 
 ``engine="vector"`` (``repro.ir``) compiles a finite protocol to dense
-integer tables and steps whole batches in lockstep.  That it is
-bit-identical to ``reference`` on every supported cell, and refuses
+integer tables and steps runs over them.  That it is bit-identical to
+``reference`` on every supported cell, and refuses
 (``IRUnsupportedError``) the rest, is the differential harness's job
 (``tests/test_differential.py``).  This suite tests the layers under
 it: named tests for each lowering rule (docs/IR.md §3), the refusal
-cases (§6), the numpy and python backends against each other, batching
-and budgets, and the RNG vectorization (§4).
+cases (§6), tables shared across runs, and budgets.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less host
-    _np = None
 
 from differential import (CELLS, PROTOCOLS, SCHEDULERS, SEEDS,
-                          TableAutomaton, assert_identical, automaton_specs,
-                          refuses, run_cell)
+                          assert_identical, refuses)
 from repro.checker.explorer import explore
 from repro.core.naive import NaiveProtocol
 from repro.core.three_unbounded import ThreeUnboundedProtocol
@@ -45,105 +37,59 @@ from repro.sim.kernel import Simulation
 from repro.sim.ops import BOTTOM, ReadOp
 from repro.sim.rng import ReplayableRng
 
-needs_numpy = pytest.mark.skipif(_np is None, reason="numpy not installed")
-
-BACKENDS = ("python",) if _np is None else ("numpy", "python")
-
 #: The zoo cells the vector engine runs (the rest it refuses).
 VECTOR_CELLS = [cell for cell in CELLS if not refuses("vector", *cell[1:])]
 
 
 def run_vector(protocol_factory, inputs, scheduler_factory, seed, *,
-               backend=None, max_steps=3_000, record_trace=False):
-    """Run 0 of root ``seed`` through a one-run vector batch."""
+               run_index=0, max_steps=3_000, record_trace=False):
+    """Run ``run_index`` of root ``seed`` on a fresh vector kernel."""
     probe = scheduler_factory(ReplayableRng(seed).child("sched-probe"))
     vk = VectorKernel(compile_protocol(protocol_factory()),
-                      vectorize_scheduler(probe), backend=backend)
-    return vk.run_batch(seed, [0], [tuple(inputs)], max_steps=max_steps,
-                        record_trace=record_trace).results[0]
+                      vectorize_scheduler(probe))
+    rng = ReplayableRng(seed).child("run", run_index)
+    return vk.run(inputs, rng.child("sched"), rng.child("kernel"),
+                  max_steps, record_trace=record_trace)[0]
 
 
 # ----------------------------------------------------------------------
-# Backends and batching: invisible in the results
+# Shared tables and budgets: invisible in the results
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_batch_equals_singles(backend):
-    """One 40-run batch == forty 1-run batches (lockstep is invisible)."""
-    protocol_factory, inputs = PROTOCOLS["naive_3"]
-    probe = RandomScheduler(ReplayableRng(0))
-    vk = VectorKernel(compile_protocol(protocol_factory()),
-                      vectorize_scheduler(probe), backend=backend)
-    indices = list(range(40))
-    batch = vk.run_batch(99, indices, [tuple(inputs)] * 40, max_steps=3_000)
-    for i in indices:
-        single = vk.run_batch(99, [i], [tuple(inputs)], max_steps=3_000)
-        assert_identical(batch.results[i], single.results[0])
-
-
-@needs_numpy
 @pytest.mark.parametrize("cell", VECTOR_CELLS, ids="-".join)
-def test_numpy_equals_python_backend(cell):
+def test_shared_kernel_equals_fresh_kernels(cell):
+    """Runs on one kernel == the same runs on fresh kernels, traces
+    included: tables that earlier runs grew lazily do not change later
+    runs."""
     protocol_name, scheduler_name, _ = cell
     protocol_factory, inputs = PROTOCOLS[protocol_name]
+    scheduler_factory = SCHEDULERS[scheduler_name]
     for seed in SEEDS:
-        a, b = (run_vector(protocol_factory, inputs,
-                           SCHEDULERS[scheduler_name], seed,
-                           backend=backend, record_trace=True)
-                for backend in ("numpy", "python"))
-        assert_identical(a, b)
-
-
-@needs_numpy
-@settings(max_examples=40, deadline=None)
-@given(spec=automaton_specs(), seed=st.integers(0, 2 ** 32),
-       inputs_bits=st.lists(st.integers(0, 1), min_size=3, max_size=3))
-def test_random_automata_backends_agree(spec, seed, inputs_bits):
-    protocol = TableAutomaton(spec)
-    inputs = tuple(inputs_bits[: protocol.n_processes])
-    cp = compile_protocol(protocol, strict=False)
-    a, b = (VectorKernel(cp, ("random",), backend=backend).run_batch(
-        seed, [0], [inputs], max_steps=300).results[0]
-        for backend in ("numpy", "python"))
-    assert_identical(a, b)
-
-
-@needs_numpy
-def test_straggler_handoff_long_tail():
-    """Runs that outlive the lockstep majority finish scalar, identically.
-
-    A 90-run batch under the random scheduler leaves a straggler tail
-    below ``SCALAR_CUTOFF`` that the numpy backend hands off to scalar
-    CPython ``random.Random`` mid-stream (``MtRuns.handoff``) — every
-    run must still match its interpreted twin exactly.
-    """
-    protocol_factory, inputs = PROTOCOLS["three_bounded"]
-    probe = RandomScheduler(ReplayableRng(0))
-    vk = VectorKernel(compile_protocol(protocol_factory()),
-                      vectorize_scheduler(probe), backend="numpy")
-    indices = list(range(90))
-    batch = vk.run_batch(7, indices, [tuple(inputs)] * 90, max_steps=5_000)
-    for i in (0, 17, 55, 89):
-        ref, _ = run_cell("reference", protocol_factory, inputs,
-                          SCHEDULERS["random"], 7, run_index=i,
-                          max_steps=5_000)
-        assert_identical(batch.results[i], ref)
+        probe = scheduler_factory(ReplayableRng(seed).child("sched-probe"))
+        vk = VectorKernel(compile_protocol(protocol_factory()),
+                          vectorize_scheduler(probe))
+        for i in range(5):
+            rng = ReplayableRng(seed).child("run", i)
+            shared, _ = vk.run(inputs, rng.child("sched"),
+                               rng.child("kernel"), 3_000,
+                               record_trace=True)
+            assert_identical(shared, run_vector(
+                protocol_factory, inputs, scheduler_factory, seed,
+                run_index=i, record_trace=True))
 
 
 def test_max_consults_budget_matches_kernel():
     """The collapsed single budget must cut off exactly where dual does."""
     protocol_factory, inputs = PROTOCOLS["naive_3"]
-    probe = RandomScheduler(ReplayableRng(0))
-    vk = VectorKernel(compile_protocol(protocol_factory()),
-                      vectorize_scheduler(probe))
+    vk = VectorKernel(compile_protocol(protocol_factory()), ("random",))
     for max_steps, max_consults in ((25, None), (3_000, 25), (25, 10)):
-        batch = vk.run_batch(3, [0], [tuple(inputs)], max_steps=max_steps,
-                             max_consults=max_consults)
         rng = ReplayableRng(3).child("run", 0)
+        result, _ = vk.run(inputs, rng.child("sched"), rng.child("kernel"),
+                           max_steps, max_consults=max_consults)
         sim = Simulation(protocol_factory(), inputs,
                          RandomScheduler(rng.child("sched")),
                          rng.child("kernel"))
-        assert_identical(batch.results[0],
+        assert_identical(result,
                          sim.run(max_steps, max_consults=max_consults))
 
 
@@ -222,7 +168,7 @@ class TestLoweringRules:
             assert cp.value_of(cp.state_out[sid]) == run.decisions[pid]
 
     def test_lazy_compilation_grows_monotonically(self):
-        """§3: states/branches appear in the compile log append-only."""
+        """§3: the tables grow append-only, and lowering stays lazy."""
         cp = compile_protocol(NaiveProtocol(3))
         before = cp.describe()
         run_a = cp.initial_sids(("a", "a", "b"))
@@ -231,9 +177,10 @@ class TestLoweringRules:
         cp.initial_sids(("b", "b", "b"))
         after = cp.describe()
         assert before["states"] <= mid["states"] <= after["states"]
-        # The compile log records lowered states only (laziness): it
-        # trails the intern table and never shrinks.
-        assert 1 <= len(cp.compile_log) <= after["states"]
+        # Lowering is lazy: only the state stepped from has branch
+        # rows, so lowered states trail the intern table.
+        lowered = sum(1 for nb in cp.state_nb if nb > 0)
+        assert lowered == 1 < after["states"]
 
     def test_closed_compile_fixpoint(self):
         """§3: closed=True compiles every reachable state eagerly."""
@@ -290,83 +237,8 @@ class TestRefusals:
             with pytest.raises(IRUnsupportedError):
                 VectorKernel(cp, ("random",), memory=memory)
 
-    def test_unknown_backend_rejected(self):
+    def test_backend_option_is_gone(self):
+        """One interpreter: there is no backend to choose."""
         cp = compile_protocol(TwoProcessProtocol())
-        with pytest.raises(ValueError):
-            VectorKernel(cp, ("random",), backend="fortran")
-
-    @pytest.mark.skipif(_np is not None, reason="numpy installed")
-    def test_numpy_backend_without_numpy_refuses(self):  # pragma: no cover
-        cp = compile_protocol(TwoProcessProtocol())
-        with pytest.raises(IRUnsupportedError):
-            VectorKernel(cp, ("random",), backend="numpy")
-
-
-# ----------------------------------------------------------------------
-# RNG vectorization (docs/IR.md §4): MtRuns is CPython's MT19937
-# ----------------------------------------------------------------------
-
-@needs_numpy
-class TestMtEquivalence:
-    def _seeds(self):
-        return [3, 2 ** 33 + 17, 0xDEADBEEF, 0xDEADBEF0]
-
-    def test_words_match_cpython_getrandbits(self):
-        import random
-
-        from repro.ir.mt import MtRuns
-
-        seeds = self._seeds()
-        mt = MtRuns(seeds)
-        refs = [random.Random(s) for s in seeds]
-        rows = _np.arange(len(seeds))
-        for _ in range(700):  # crosses the 624-word block boundary
-            words = mt.take_words(rows)
-            for row, word in enumerate(words):
-                assert int(word) == refs[row].getrandbits(32)
-
-    def test_pairs_match_cpython_random(self):
-        import random
-
-        from repro.ir.mt import MtRuns
-
-        seeds = self._seeds()
-        mt = MtRuns(seeds)
-        refs = [random.Random(s) for s in seeds]
-        rows = _np.arange(len(seeds))
-        for _ in range(400):
-            w0, w1 = mt.take_pairs(rows)
-            got = ((w0 >> _np.uint32(5)).astype(_np.float64)
-                   * 67108864.0
-                   + (w1 >> _np.uint32(6)).astype(_np.float64)) \
-                * (1.0 / 9007199254740992.0)
-            for row in range(len(seeds)):
-                assert got[row] == refs[row].random()
-
-    def test_handoff_continues_stream_exactly(self):
-        import random
-
-        from repro.ir.mt import MtRuns
-
-        seeds = self._seeds()
-        for consumed in (0, 1, 623, 624, 1000):
-            mt = MtRuns(seeds)
-            ref = random.Random(seeds[1])
-            for _ in range(consumed):
-                mt.take_word_one(1)
-                ref.getrandbits(32)
-            live = mt.handoff(1)
-            assert [live.getrandbits(32) for _ in range(10)] \
-                == [ref.getrandbits(32) for _ in range(10)]
-
-    def test_seed_derivation_matches_scalar_chain(self):
-        from repro.ir.mt import derive_run_streams
-
-        root, n = 2_024, 3
-        seeds = derive_run_streams(root, [0, 5, 123], n)
-        for r, idx in enumerate((0, 5, 123)):
-            run = ReplayableRng(root).child("run", idx)
-            procs = run.child("kernel").children("proc", n)
-            for pid in range(n):
-                assert int(seeds[r, pid]) == procs[pid].seed
-            assert int(seeds[r, n]) == run.child("sched").seed
+        with pytest.raises(TypeError):
+            VectorKernel(cp, ("random",), backend="python")
