@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import platform
 import sys
 from typing import Any, Dict, List, Optional, Sequence
@@ -80,6 +81,30 @@ def record_batch(
     )
 
 
+def _platform_string() -> str:
+    """:func:`platform.platform`'s string, without its subprocess.
+
+    On Linux, ``platform.platform()`` runs ``uname -p`` (through
+    :mod:`subprocess`) for a processor field it then drops whenever it
+    repeats the machine or is unknown.  The same string is composed
+    here from :func:`os.uname` and :func:`platform.libc_ver`, so a
+    ``report --json`` starts no process; elsewhere the stdlib answers.
+    """
+    if not sys.platform.startswith("linux"):
+        return platform.platform()
+    uname = os.uname()
+    libc, version = platform.libc_ver()
+    parts = [uname.sysname, uname.release, uname.machine, "with",
+             libc + version]
+    text = "-".join(p.strip() for p in parts if p)
+    for char in ' /\\:;"()':
+        text = text.replace(char, "_" if char == " " else "-")
+    text = text.replace("unknown", "")
+    while "--" in text:
+        text = text.replace("--", "-")
+    return text.rstrip("-")
+
+
 def environment_stamp() -> Dict[str, str]:
     """Reproducibility header for a report file."""
     import repro
@@ -87,7 +112,7 @@ def environment_stamp() -> Dict[str, str]:
     return {
         "library_version": repro.__version__,
         "python": sys.version.split()[0],
-        "platform": platform.platform(),
+        "platform": _platform_string(),
     }
 
 

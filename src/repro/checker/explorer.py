@@ -318,12 +318,15 @@ def explore(
             continue
         succ = tuple(successors(protocol, layout, config, cache, model))
         edges[config] = succ
-        for s in succ:
+        for i, s in enumerate(succ):
             if s.config not in depth_of:
                 if len(depth_of) >= max_states:
                     complete = False
                     budget_depth = depth
                     frontier.append(config)
+                    # Keep the edges up to the one the budget refused,
+                    # where the fingerprint search stops too.
+                    edges[config] = succ[:i + 1]
                     break
                 depth_of[s.config] = depth + 1
                 if on_node is not None:

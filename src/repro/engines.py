@@ -37,7 +37,6 @@ registration is indistinguishable from a built-in one.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 from typing import Dict, Optional, Tuple
 
 #: Engine kinds (registry namespaces).
@@ -114,6 +113,8 @@ def _unknown(kind: str, name: str) -> UnknownEngineError:
         msg += (f" ({name!r} is a {other} engine — this selection "
                 f"point takes {kind} engines)")
     else:
+        import difflib
+
         close = difflib.get_close_matches(name, valid, n=1, cutoff=0.5)
         if close:
             msg += f" — did you mean {close[0]!r}?"

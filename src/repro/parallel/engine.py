@@ -59,18 +59,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import pickle
 import sys
 import time
-import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+# The journal, telemetry, fault-injection and pickling modules load
+# where a sweep uses them, so a serial unjournaled sweep loads only the
+# in-process path (docs/PERFORMANCE.md, "Start-up").
 from repro.engines import resolve_sim_engine
-from repro.faults import corrupt_file, trigger_worker_fault
-from repro.obs.journal import (JsonlJournal, adopt_journal,
-                               concatenate_journals)
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryEmitter, file_sink
 from repro.parallel.supervisor import (FaultEvent, FaultReport,
                                        SupervisorError, SupervisorPolicy,
                                        degraded_engine)
@@ -192,12 +189,18 @@ def _execute_shard(task: ShardTask, runner, sinks=(),
     shard, in-process or in a worker.
     """
     registry = MetricsRegistry() if task.with_metrics else None
-    journal = (JsonlJournal(task.journal_path, memory=task.spec.memory.name)
-               if task.journal_path is not None else None)
+    journal = None
+    if task.journal_path is not None:
+        from repro.obs.journal import JsonlJournal
+
+        journal = JsonlJournal(task.journal_path,
+                               memory=task.spec.memory.name)
     shard_sinks = tuple(sinks) + tuple(
         s for s in (registry, journal) if s is not None)
     emitter = None
     if task.telemetry:
+        from repro.obs.telemetry import TelemetryEmitter
+
         emitter = TelemetryEmitter(task.shard_index, task.stop - task.start,
                                    beat)
     runs = runner.run_range(task.start, task.stop, task.max_steps,
@@ -240,11 +243,15 @@ def _worker(conn) -> None:
             task, fault = message
             try:
                 if fault is not None:
+                    from repro.faults import trigger_worker_fault
+
                     trigger_worker_fault(fault)
                 if task.spec != spec:
                     runner, spec = _spec_runner(task.spec), task.spec
                 result = _execute_shard(task, runner, beat=beat)
             except Exception as exc:  # noqa: BLE001 - forwarded
+                import traceback
+
                 conn.send(("error", f"{type(exc).__name__}: {exc}",
                            traceback.format_exc()))
                 return
@@ -261,6 +268,8 @@ def _check_picklable(spec: BatchSpec) -> None:
     # raises is a real bug in that factory and propagates unchanged
     # (with its original traceback), not dressed up as a pickle
     # problem.
+    import pickle
+
     try:
         pickle.dumps(spec)
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
@@ -296,18 +305,23 @@ def default_start_method() -> str:
     return "spawn"
 
 
-def _warm_spec(spec: BatchSpec) -> None:
+def _warm_spec(spec: BatchSpec, journal: bool, telemetry: bool) -> None:
     """Build what ``spec`` builds once, before forking its workers.
 
     Forked workers inherit the parent's loaded modules, so loading here
     the runner and whatever the spec's protocol and scheduler factories
     import (the same throwaway probe ``ExperimentRunner`` makes for the
-    vector kernel) lets every worker start warm, holding only the
+    vector kernel), and the journal and telemetry modules when the
+    shards use them, lets every worker start warm, holding only the
     modules this sweep runs.  A factory that raises is left for the
     shard to report, under the sweep's fault policy.
     """
     from repro.sim.rng import ReplayableRng
 
+    if journal:
+        import repro.obs.journal  # noqa: F401
+    if telemetry:
+        import repro.obs.telemetry  # noqa: F401
     try:
         _spec_runner(spec)
         spec.protocol_factory()
@@ -608,7 +622,11 @@ def run_parallel(
     quarantined: Dict[int, Tuple[int, int]] = {}
     telemetry_fh = open(telemetry_path, "w") \
         if telemetry_path is not None else None
-    append = file_sink(telemetry_fh) if telemetry_fh is not None else None
+    append = None
+    if telemetry_fh is not None:
+        from repro.obs.telemetry import file_sink
+
+        append = file_sink(telemetry_fh)
 
     def make_task(shard: int, task_engine: str) -> ShardTask:
         start, stop = shards[shard]
@@ -679,6 +697,8 @@ def run_parallel(
             if action is not None and action.kind == "corrupt":
                 # At-rest damage after a successful commit: the sweep
                 # in flight is unaffected; the NEXT resume heals it.
+                from repro.faults import corrupt_file
+
                 corrupt_file(path, action.mode)
                 record(job, "corrupt", "damaged",
                        f"injected {action.mode} damage to {path}")
@@ -699,7 +719,8 @@ def run_parallel(
 
             method = mp_context or default_start_method()
             if method == "fork":
-                _warm_spec(spec)
+                _warm_spec(spec, journal=journal_path is not None,
+                           telemetry=append is not None)
             _run_on_workers(jobs, workers,
                             multiprocessing.get_context(method),
                             policy, plan, make_task, on_done, on_fault,
@@ -747,6 +768,8 @@ def run_parallel(
 
     journal_events: Optional[int] = None
     if journal_path is not None and (journal_parts or not quarantined):
+        from repro.obs.journal import adopt_journal, concatenate_journals
+
         if len(journal_parts) == 1 and isinstance(journal_parts[0], str):
             # One executed shard: its journal is the batch's journal.
             adopt_journal(journal_parts[0], journal_path)

@@ -94,6 +94,8 @@ class DisagreementAdversary(Scheduler):
     write-pair still produces agreement with probability ≥ 1/4.
     """
 
+    pure_choice = True
+
     def choose(self, view: SchedulerView) -> Activate:
         layout = view.layout
         regs = [view.configuration.registers[i] for i in range(len(layout))]
@@ -268,10 +270,17 @@ class SplitVoteAdversary(Scheduler):
     Works against any protocol whose registers expose a ``pref`` field
     (or are bare values) and whose states expose ``pc``; degrades to
     lowest-id scheduling otherwise.
+
+    Pure (``pure_choice``) with the default ``pref_extractor`` only: a
+    caller's extractor may keep state.
     """
+
+    pure_choice = True
 
     def __init__(self, pref_extractor: Callable[[Hashable], Hashable] = _pref_of) -> None:
         self._pref = pref_extractor
+        if pref_extractor is not _pref_of:
+            self.pure_choice = False
 
     def choose(self, view: SchedulerView) -> Activate:
         prefs = [

@@ -23,6 +23,18 @@ from repro.sim.kernel import Activate, Crash, SchedulerView
 class Scheduler(abc.ABC):
     """Base class for all schedulers."""
 
+    #: Set to True on a class whose ``choose`` is a function of the
+    #: view's processor states, committed registers and ``enabled``
+    #: alone: no coins, no run bookkeeping (step index, activation or
+    #: consultation counts), no state of its own.  The fast kernel then
+    #: consults it once per configuration per batch under atomic memory
+    #: and replays the memoized action (counting every consultation as
+    #: before).  The declaration belongs to the class that defines
+    #: ``choose``: a subclass overriding ``choose`` must declare it
+    #: again, and an instance may clear it (``self.pure_choice =
+    #: False``) when its parameters make the choice impure.
+    pure_choice: bool = False
+
     @abc.abstractmethod
     def choose(self, view: SchedulerView) -> Union[Activate, Crash, int]:
         """Pick the next scheduler action for the given configuration."""

@@ -14,62 +14,36 @@ This subpackage implements the computational model the paper defines:
   runs produce aggregate statistics (:mod:`repro.sim.runner`).
 """
 
-from repro.sim.ops import Op, ReadOp, WriteOp, BOTTOM
-from repro.sim.process import Automaton, Branch, RegisterSpec
-from repro.sim.config import Configuration
-from repro.sim.kernel import Simulation, RunResult
-from repro.sim.memory import (
-    ATOMIC,
-    REGULAR,
-    SAFE,
-    MEMORY_NAMES,
-    AtomicMemory,
-    MemoryModel,
-    MemorySpec,
-    RegularMemory,
-    SafeMemory,
-    memory_spec,
-)
-from repro.sim.rng import ReplayableRng, derive_seed
-from repro.sim.transitions import TransitionCache
-from repro.sim.trace import StepRecord, Trace
-from repro.sim.runner import ExperimentRunner, RunStats, BatchStats
-from repro.sim.viz import (
-    render_decision_summary,
-    render_register_timeline,
-    render_space_time,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Op",
-    "ReadOp",
-    "WriteOp",
-    "BOTTOM",
-    "Automaton",
-    "Branch",
-    "RegisterSpec",
-    "Configuration",
-    "Simulation",
-    "RunResult",
-    "ATOMIC",
-    "REGULAR",
-    "SAFE",
-    "MEMORY_NAMES",
-    "AtomicMemory",
-    "MemoryModel",
-    "MemorySpec",
-    "RegularMemory",
-    "SafeMemory",
-    "memory_spec",
-    "ReplayableRng",
-    "derive_seed",
-    "TransitionCache",
-    "StepRecord",
-    "Trace",
-    "ExperimentRunner",
-    "RunStats",
-    "BatchStats",
-    "render_decision_summary",
-    "render_register_timeline",
-    "render_space_time",
-]
+_EXPORTS = {
+    "repro.sim.ops": ("Op", "ReadOp", "WriteOp", "BOTTOM"),
+    "repro.sim.process": ("Automaton", "Branch", "RegisterSpec"),
+    "repro.sim.config": ("Configuration",),
+    "repro.sim.kernel": ("Simulation", "RunResult"),
+    "repro.sim.memory": (
+        "ATOMIC",
+        "REGULAR",
+        "SAFE",
+        "MEMORY_NAMES",
+        "AtomicMemory",
+        "MemoryModel",
+        "MemorySpec",
+        "RegularMemory",
+        "SafeMemory",
+        "memory_spec",
+    ),
+    "repro.sim.rng": ("ReplayableRng", "derive_seed"),
+    "repro.sim.transitions": ("TransitionCache",),
+    "repro.sim.trace": ("StepRecord", "Trace"),
+    "repro.sim.runner": ("ExperimentRunner", "RunStats", "BatchStats"),
+    "repro.sim.viz": (
+        "render_decision_summary",
+        "render_register_timeline",
+        "render_space_time",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS, globals())

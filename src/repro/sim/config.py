@@ -32,6 +32,7 @@ class RegisterLayout:
         #: Register names in slot order.
         self.names: Tuple[str, ...] = tuple(names)
         self._index: Dict[str, int] = {spec.name: i for i, spec in enumerate(specs)}
+        self._initial = tuple(spec.initial for spec in self._specs)
 
     @classmethod
     def for_protocol(cls, protocol: Automaton) -> "RegisterLayout":
@@ -46,7 +47,7 @@ class RegisterLayout:
 
     def initial_values(self) -> Tuple[Hashable, ...]:
         """The register contents of an initial configuration."""
-        return tuple(spec.initial for spec in self._specs)
+        return self._initial
 
     def index_of(self, name: str) -> int:
         try:

@@ -728,6 +728,15 @@ class Simulation:
         (:meth:`repro.obs.hooks.BaseSink.on_transition`).  Run-tally
         sinks get the call's counts once, on exit (:meth:`_fold_tally`),
         even when the loop raises.
+
+        A pure scheduler (``pure_choice``, see
+        :class:`~repro.sched.base.Scheduler`) under atomic memory is
+        consulted through the batch's memo
+        (:meth:`~repro.sim.transitions.TransitionCache.choice`): its
+        action in a configuration is computed once, and each step moves
+        to the successor's memoized choice along the outcome it took.
+        Every consultation still counts and still emits its ``sched``
+        event; a crash injection ends the memo's use for the call.
         """
         n = self.protocol.n_processes
         cache = self._cache
@@ -739,7 +748,8 @@ class Simulation:
         atomic = self._mem_atomic
         memory = self._memory
         proc_rngs = self._proc_rngs
-        choose = self.scheduler.choose
+        scheduler = self.scheduler
+        choose = scheduler.choose
         view = self._view
         activations = self.activations
         coin_flips = self.coin_flips
@@ -778,6 +788,16 @@ class Simulation:
         # decision ends the loop by lowering it to the current step.
         limit = min(max_steps, max_consults - consults + step_index) \
             if self._enabled else step_index
+        # A pure scheduler's choice in the current configuration, from
+        # the batch's memo (TransitionCache.choice); None when the
+        # scheduler is not pure, memory is weak (pending writes are part
+        # of the view), or the memo stops, and then it is consulted.
+        node = None
+        if atomic and given is None and step_index < limit \
+                and getattr(scheduler, "pure_choice", False):
+            sched_class = scheduler.__class__
+            node = cache.choice(sched_class, states, registers,
+                                self._enabled)
         try:
             while step_index < limit:
                 if given is not None:
@@ -787,7 +807,12 @@ class Simulation:
                     self.sched_consults = consults
                     if obs is not None:
                         obs.sched(consults)
-                    action = choose(view)
+                    if node is None:
+                        action = choose(view)
+                    else:
+                        action = node.action
+                        if action is None:
+                            action = node.action = choose(view)
                     cls = action.__class__
                     if cls is int:
                         pid = action
@@ -804,6 +829,7 @@ class Simulation:
                                         - consults + step_index + 1)
                             for p in self.crashed:
                                 cur_entries[p] = None
+                            node = None
                         if pid.__class__ is not int:
                             self._check_active(pid)
                     if not 0 <= pid < n:
@@ -871,6 +897,18 @@ class Simulation:
                     self._record_decision(pid, decided)
                     if not self._enabled:
                         limit = step_index
+                if node is not None:
+                    try:
+                        node = node.next[outcome]
+                    except KeyError:
+                        succ = cache.choice(sched_class, states, registers,
+                                            self._enabled)
+                        # A full cache builds a fresh outcome per step:
+                        # linking those would only grow the memo.
+                        if succ is not None \
+                                and len(entries) < cache.max_entries:
+                            node.next[outcome] = succ
+                        node = succ
                 if observed:
                     if obs is not None:
                         if is_read:

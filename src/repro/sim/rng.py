@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional, Sequence, TypeVar
 
+from _random import Random as _CRandom
+
 _MASK64 = (1 << 64) - 1
 
 T = TypeVar("T")
@@ -31,6 +33,14 @@ def _splitmix64(state: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix_bytes(acc: int, data: bytes) -> int:
+    """:func:`_mix_str` of a token already encoded as UTF-8."""
+    h = acc
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & _MASK64
+    return _splitmix64(h)
 
 
 def _mix_str(acc: int, token: str) -> int:
@@ -73,13 +83,21 @@ class ReplayableRng:
     on the seed, never on when it is instantiated.
     """
 
+    __slots__ = ("_seed", "_random", "_draws")
+
     def __init__(self, seed: int) -> None:
         self._seed = seed & _MASK64
         self._random: random.Random = None  # bound by _bind on first draw
         self._draws = 0
 
     def _bind(self) -> random.Random:
-        rnd = random.Random(self._seed)
+        # ``random.Random(seed)`` for an int seed only forwards to the C
+        # generator's seed through a Python-level wrapper; seeding the
+        # C generator directly gives the same state at a fraction of
+        # the call cost, paid once per drawing stream.
+        rnd = random.Random.__new__(random.Random)
+        _CRandom.seed(rnd, self._seed)
+        rnd.gauss_next = None
         self._random = rnd
         return rnd
 
@@ -199,6 +217,56 @@ class ReplayableRng:
         if rnd is None:
             rnd = self._bind()
         return rnd.sample(items, k)
+
+
+class _DeferredRng(ReplayableRng):
+    """A child stream whose label is folded into its seed on first use.
+
+    ``ReplayableRng(_mix_bytes(acc, label))``, except that the fold
+    waits until something draws from the stream or reads its seed: an
+    inputs factory that ignores its stream costs a run no derivation.
+    """
+
+    __slots__ = ("_pending",)
+
+    def __init__(self, acc: int, label: bytes) -> None:
+        self._random = None
+        self._draws = 0
+        self._pending = (acc, label)
+
+    def __getattr__(self, name: str):
+        # Reached only while ``_seed`` is unset: fold it in now.
+        if name != "_seed":
+            raise AttributeError(name)
+        seed = self._seed = _mix_bytes(*self._pending)
+        return seed
+
+
+class RunStreams:
+    """The per-run streams of a batch under one root seed.
+
+    ``streams(i)`` returns run ``i``'s ``(sched, inputs, kernel)``
+    streams, seeded exactly as ``ReplayableRng(root_seed).child("run",
+    i).child(label)``: the root and ``"run"`` folds are done once per
+    batch, the run seed's first mix once per run instead of once per
+    child, and the labels are pre-encoded.  The inputs stream is
+    deferred (:class:`_DeferredRng`).
+    """
+
+    __slots__ = ("_base",)
+
+    def __init__(self, root_seed: int) -> None:
+        self._base = _mix_bytes(_splitmix64(root_seed & _MASK64), b"run")
+
+    def run_seed(self, run_index: int) -> int:
+        """``derive_seed(root_seed, "run", run_index)``."""
+        return _splitmix64(self._base ^ (run_index & _MASK64))
+
+    def streams(self, run_index: int) -> tuple:
+        acc = _splitmix64(_splitmix64(self._base ^ (run_index & _MASK64)))
+        return (ReplayableRng(_mix_bytes(acc, b"sched")),
+                _DeferredRng(acc, b"inputs"),
+                ReplayableRng(_mix_bytes(acc, b"kernel")))
 
 
 def spawn_streams(root_seed: int, names: Iterable[object]) -> dict:

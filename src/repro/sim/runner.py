@@ -11,7 +11,7 @@ scheduler, and the inputs so that stateful schedulers are fresh per run
 and input assignments can be randomized per run.
 
 Every run is keyed by ``derive_seed(root_seed, "run", run_index)``
-(through :meth:`ReplayableRng.child`), never by execution order, so
+(through :class:`~repro.sim.rng.RunStreams`), never by execution order, so
 batches shard across worker processes with bit-identical results —
 ``run_many(..., workers=N)`` delegates to :mod:`repro.parallel` and
 merges the shards back deterministically.
@@ -34,7 +34,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import RunResult, Simulation
 from repro.sim.memory import MemorySpec, memory_spec
 from repro.sim.process import Automaton
-from repro.sim.rng import ReplayableRng
+from repro.sim.rng import ReplayableRng, RunStreams
 from repro.sim.transitions import TransitionCache
 
 
@@ -74,7 +74,9 @@ class RunStats:
 
         This is the single conversion point shared by the serial loop
         and the parallel shard workers, so both produce field-identical
-        records for the same seeded run.
+        records for the same seeded run.  The record shares the
+        result's maps, which :meth:`Simulation.result` already copied
+        out of the live run.
         """
         return cls(
             run_index=run_index,
@@ -82,9 +84,9 @@ class RunStats:
             consistent=result.consistent,
             nontrivial=result.nontrivial,
             total_steps=result.total_steps,
-            decisions=dict(result.decisions),
-            steps_to_decide=dict(result.decision_activation),
-            coin_flips=dict(result.coin_flips),
+            decisions=result.decisions,
+            steps_to_decide=result.decision_activation,
+            coin_flips=result.coin_flips,
             crashed=result.crashed,
             sched_consults=result.sched_consults,
         )
@@ -226,6 +228,13 @@ class BatchStats:
         return sum(samples) / len(samples)
 
 
+def _run_key_sinks(sinks: Sequence[BaseSink]) -> tuple:
+    """The sinks whose class overrides :meth:`BaseSink.on_run_key`."""
+    noop = BaseSink.on_run_key
+    return tuple([s for s in sinks
+                  if getattr(type(s), "on_run_key", noop) is not noop])
+
+
 class ExperimentRunner:
     """Run a protocol many times and aggregate statistics.
 
@@ -267,8 +276,12 @@ class ExperimentRunner:
         # is bit-identical to the interpreted kernels for the
         # supported protocol × scheduler × memory matrix (docs/IR.md
         # §5); it raises IRUnsupportedError at first use otherwise.
-        self._engine = resolve_sim_engine(engine).name
+        self._engine_info = resolve_sim_engine(engine)
+        self._engine = self._engine_info.name
         self._fast = self._engine == "fast"
+        # Every run's streams derive from (seed, "run", index); the
+        # batch-invariant part of that derivation is folded once here.
+        self._streams = RunStreams(seed)
         # Register semantics for every run of the batch (a picklable
         # MemorySpec, so parallel shards inherit it unchanged).
         self._memory: MemorySpec = memory_spec(memory)
@@ -329,10 +342,9 @@ class ExperimentRunner:
         from repro.ir import replay_run
 
         vk = self._vector_kernel()
-        rng = ReplayableRng(self._seed).child("run", run_index)
-        inputs = self._inputs_factory(run_index, rng.child("inputs"))
-        result, rec = vk.run(inputs, rng.child("sched"),
-                             rng.child("kernel"), max_steps,
+        sched_rng, inputs_rng, kernel_rng = self._streams.streams(run_index)
+        inputs = self._inputs_factory(run_index, inputs_rng)
+        result, rec = vk.run(inputs, sched_rng, kernel_rng, max_steps,
                              record=bool(sinks), record_trace=record_trace)
         if sinks:
             # replay_run emits on_run_key first, then the kernel event
@@ -356,18 +368,23 @@ class ExperimentRunner:
         coordinates that replay this exact run, and the input from
         which the span tracer derives its deterministic trace ids.
         """
-        effective_sinks = self._sinks if sinks is None else sinks
+        sinks = self._sinks if sinks is None else sinks
+        return self._run(run_index, max_steps, record_trace, sinks,
+                         _run_key_sinks(sinks))
+
+    def _run(self, run_index: int, max_steps: int, record_trace: bool,
+             sinks: Sequence[BaseSink],
+             keyed: Sequence[BaseSink]) -> RunResult:
+        """One run; ``keyed`` are the ``sinks`` that take ``on_run_key``."""
         if self._engine == "vector":
             return self._run_one_vector(run_index, max_steps,
-                                        record_trace, effective_sinks)
-        for sink in effective_sinks:
-            run_key = getattr(sink, "on_run_key", None)
-            if run_key is not None:
-                run_key(self._seed, run_index)
-        rng = ReplayableRng(self._seed).child("run", run_index)
+                                        record_trace, sinks)
+        for sink in keyed:
+            sink.on_run_key(self._seed, run_index)
+        sched_rng, inputs_rng, kernel_rng = self._streams.streams(run_index)
         protocol = self._protocol_factory()
-        scheduler = self._scheduler_factory(rng.child("sched"))
-        inputs = self._inputs_factory(run_index, rng.child("inputs"))
+        scheduler = self._scheduler_factory(sched_rng)
+        inputs = self._inputs_factory(run_index, inputs_rng)
         cache = None
         if self._fast:
             cache = self._cache
@@ -378,11 +395,11 @@ class ExperimentRunner:
             protocol,
             inputs,
             scheduler,
-            rng.child("kernel"),
+            kernel_rng,
             record_trace=record_trace,
             strict=self._strict,
-            sinks=self._sinks if sinks is None else sinks,
-            engine=self._engine,
+            sinks=sinks,
+            engine=self._engine_info,
             cache=cache,
             memory=self._memory,
         )
@@ -398,10 +415,14 @@ class ExperimentRunner:
         ``emitter`` (a :class:`~repro.obs.telemetry.TelemetryEmitter`)
         receives one ``record_run`` per run.
         """
+        sinks = self._sinks if sinks is None else sinks
+        keyed = _run_key_sinks(sinks)
+        run = self._run
+        from_result = RunStats.from_result
         runs = []
         for i in range(start, stop):
-            result = self.run_one(i, max_steps, sinks=sinks)
-            runs.append(RunStats.from_result(i, result))
+            result = run(i, max_steps, False, sinks, keyed)
+            runs.append(from_result(i, result))
             if emitter is not None:
                 emitter.record_run(result.total_steps)
         return runs

@@ -52,6 +52,17 @@ arrays instead of per-state objects, so an engine can step runs
 through the tables (docs/IR.md §3 maps each cache field to its table
 twin).  The cache remains the fast path and the engine of record for
 everything the IR refuses (docs/IR.md §6).
+
+**Pure schedulers.**  The cache also holds the batch's memo of *pure*
+schedulers' choices (:meth:`TransitionCache.choice`): a scheduler
+class that declares ``pure_choice = True`` promises that ``choose``
+reads only the view's processor states, committed registers and
+``enabled`` (the paper's adversary: a function of the configuration),
+so under atomic memory the kernel consults it once per configuration
+and batch.  Sharing is sound for the reason sharing the transitions
+is: the runner's factory contract gives every run an equivalent
+scheduler.  Configurations that compare equal share one choice, as
+they share one checker node.
 """
 
 from __future__ import annotations
@@ -122,6 +133,40 @@ class CachedTransition:
         )
 
 
+class Choice:
+    """A pure scheduler's memoized action in one configuration.
+
+    ``action`` is what ``choose`` returned there (``None`` until it is
+    first consulted); ``next`` maps each :class:`Outcome` a step took
+    from this configuration to the successor configuration's
+    ``Choice``.  Under atomic memory an outcome fixes the successor
+    (the stepping processor's new state and, for a write, the slot and
+    value), so the kernel follows ``next`` without rebuilding or
+    hashing the configuration.
+    """
+
+    __slots__ = ("action", "next")
+
+    def __init__(self) -> None:
+        self.action = None
+        self.next: Dict[Outcome, "Choice"] = {}
+
+
+#: Most configurations one pure scheduler class memoizes per cache;
+#: past it, unmemoized configurations are consulted as usual.
+MAX_CHOICES = 1 << 16
+
+
+def declares_pure_choice(cls: type) -> bool:
+    """Whether the class defining ``cls``'s ``choose`` sets
+    ``pure_choice = True`` itself, so a subclass overriding ``choose``
+    never inherits the declaration."""
+    for klass in cls.__mro__:
+        if "choose" in vars(klass):
+            return vars(klass).get("pure_choice", False) is True
+    return False
+
+
 class TransitionCache:
     """Per-protocol memo of branch distributions, slots, and outcomes.
 
@@ -148,7 +193,7 @@ class TransitionCache:
 
     __slots__ = ("protocol", "layout", "strict", "max_entries",
                  "entries", "_initial_states", "_initial_registers",
-                 "_outputs")
+                 "_outputs", "_choices")
 
     def __init__(self, protocol: Automaton,
                  layout: Optional[RegisterLayout] = None,
@@ -165,6 +210,9 @@ class TransitionCache:
         self._initial_states: Dict[tuple, tuple] = {}
         self._initial_registers: Optional[tuple] = None
         self._outputs: Dict[tuple, Optional[Hashable]] = {}
+        #: scheduler class -> its configuration memo, or ``None`` for a
+        #: class that does not declare ``pure_choice``.
+        self._choices: Dict[type, Optional[Dict[tuple, Choice]]] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -230,6 +278,24 @@ class TransitionCache:
             if len(self._outputs) < self.max_entries:
                 self._outputs[key] = value
             return value
+
+    def choice(self, scheduler_class: type, states: Sequence[Hashable],
+               registers: Sequence[Hashable],
+               enabled: Tuple[int, ...]) -> Optional[Choice]:
+        """The memoized :class:`Choice` of a pure scheduler class in a
+        configuration, or ``None`` when the class declares no
+        ``pure_choice`` or its memo is full."""
+        memo = self._choices.get(scheduler_class, False)
+        if memo is False:
+            memo = self._choices[scheduler_class] = (
+                {} if declares_pure_choice(scheduler_class) else None)
+        if memo is None:
+            return None
+        key = (tuple(states), tuple(registers), enabled)
+        node = memo.get(key)
+        if node is None and len(memo) < MAX_CHOICES:
+            node = memo[key] = Choice()
+        return node
 
     def initial_states(self, inputs: Sequence[Hashable]) -> tuple:
         """Memoized ``(states, decisions)`` for ``inputs``.

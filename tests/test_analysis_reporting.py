@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from repro.analysis.reporting import (
     batch_metrics,
@@ -56,6 +60,34 @@ class TestReporting:
     def test_environment_stamp(self):
         stamp = environment_stamp()
         assert set(stamp) == {"library_version", "python", "platform"}
+
+    def test_environment_stamp_starts_no_process(self):
+        # In a fresh interpreter (the stdlib caches its uname answer),
+        # the stamp is taken with every way of starting a process
+        # refused, then compared with platform.platform()'s string.
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import os, subprocess, platform\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('started a process')\n"
+            "for name in ('Popen', 'run', 'call', 'check_call',\n"
+            "             'check_output', 'getoutput', 'getstatusoutput'):\n"
+            "    setattr(subprocess, name, refuse)\n"
+            "saved = os.popen, os.system\n"
+            "os.popen = os.system = refuse\n"
+            "from repro.analysis.reporting import environment_stamp\n"
+            "stamp = environment_stamp()\n"
+            "os.popen, os.system = saved\n"
+            "import importlib; importlib.reload(subprocess)\n"
+            "assert stamp['platform'] == platform.platform(), "
+            "(stamp['platform'], platform.platform())\n"
+            "print(sorted(stamp))\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [
+            "['library_version',", "'platform',", "'python']"]
 
     def test_records_are_deterministic(self):
         a = record_batch("E2", "p", "s", "a,b", 7, make_stats())

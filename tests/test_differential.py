@@ -365,6 +365,10 @@ def test_search_matches_objects_bfs(engine, cell):
     assert ex.exact and not fp.exact
     assert (ex.visited, ex.edges, ex.depth) == (fp.visited, fp.edges,
                                                 fp.depth)
+    # Both searches count edges alike, a state budget's included: the
+    # objects BFS keeps the tripping configuration's edges only up to
+    # the one the budget refused.
+    assert fp.edges == sum(len(succ) for succ in graph.edges.values())
 
 
 @pytest.mark.parametrize("engine", CHECKER_ENGINES)

@@ -26,7 +26,8 @@ from repro.errors import (
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 LAZY_PACKAGES = ("repro", "repro.core", "repro.obs", "repro.sched",
-                 "repro.ir", "repro.parallel")
+                 "repro.ir", "repro.parallel", "repro.sim",
+                 "repro.analysis")
 
 # Where the re-exported values that carry no ``__module__`` are defined.
 CONSTANT_HOMES = {
@@ -37,6 +38,8 @@ CONSTANT_HOMES = {
     "DEGRADE_LADDER": "repro.parallel.supervisor",
     "PROTOCOL_NAMES": "repro.parallel.tasks",
     "SCHEDULER_NAMES": "repro.parallel.tasks",
+    "MEMORY_NAMES": "repro.sim.memory",
+    "Op": "repro.sim.ops",
 }
 
 # Modules each unit command must not load (docs/PERFORMANCE.md,
@@ -44,6 +47,12 @@ CONSTANT_HOMES = {
 REPORT_FORBIDDEN = ("numpy", "repro.checker", "repro.ir", "repro.store",
                     "repro.obs.tracing", "repro.obs.export",
                     "multiprocessing")
+#: A serial unit ``report`` runs its one shard in process: it loads no
+#: journal, telemetry, fault-injection or pickling module, and neither
+#: the plotting nor the closed-form bounds.
+UNIT_REPORT_FORBIDDEN = REPORT_FORBIDDEN + (
+    "repro.obs.journal", "repro.obs.telemetry", "repro.faults", "pickle",
+    "repro.sim.viz", "repro.analysis.theory", "difflib")
 VERIFY_FORBIDDEN = ("numpy", "repro.ir.vector", "repro.store",
                     "multiprocessing")
 #: The protocol modules a ``--protocol two`` sweep never runs.
@@ -123,7 +132,8 @@ class TestPublicApi:
         assert {"repro.sim", "repro.parallel.engine"} <= loaded
 
     @pytest.mark.parametrize("args, forbidden", [
-        (["report", "--runs", "1", "--workers", "1"], REPORT_FORBIDDEN),
+        (["report", "--runs", "1", "--workers", "1"],
+         UNIT_REPORT_FORBIDDEN),
         (["report", "--protocol", "two", "--runs", "1", "--workers", "1"],
          NOT_TWO_PROTOCOLS),
         (["verify", "--engine", "fingerprints", "--max-states", "1"],
@@ -136,6 +146,18 @@ class TestPublicApi:
         loaded = _loaded_modules(
             f"from repro.cli import main\nmain({args!r})")
         assert "repro.cli" in loaded
+        assert sorted(loaded & set(forbidden)) == []
+
+    def test_unit_report_json_starts_no_process(self, tmp_path):
+        # The shape of every sweep-serial command: the JSON record's
+        # environment stamp must not run ``uname -p`` through
+        # subprocess.
+        args = ["report", "--runs", "1", "--workers", "1", "--json",
+                str(tmp_path / "record.json")]
+        loaded = _loaded_modules(
+            f"from repro.cli import main\nmain({args!r})")
+        assert "repro.analysis.reporting" in loaded
+        forbidden = UNIT_REPORT_FORBIDDEN + ("subprocess",)
         assert sorted(loaded & set(forbidden)) == []
 
     def test_sweep_worker_import_budget(self):

@@ -419,7 +419,7 @@ class TestEdgesAndErrors:
 
     def test_one_shard_journal_is_renamed_not_copied(self, tmp_path,
                                                      monkeypatch):
-        import repro.parallel.engine as engine
+        import repro.obs.journal as journal
 
         one, two = str(tmp_path / "one.jsonl"), str(tmp_path / "two.jsonl")
         stitched = make_runner().run_many(
@@ -429,7 +429,7 @@ class TestEdgesAndErrors:
         def no_copy(shards, out_path):
             raise AssertionError("a one-shard journal was copied")
 
-        monkeypatch.setattr(engine, "concatenate_journals", no_copy)
+        monkeypatch.setattr(journal, "concatenate_journals", no_copy)
         stats = make_runner().run_many(N_RUNS, max_steps=MAX_STEPS,
                                        journal_path=one)
         data = open(one, "rb").read()
