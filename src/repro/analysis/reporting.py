@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import platform
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -87,13 +86,22 @@ def _platform_string() -> str:
     On Linux, ``platform.platform()`` runs ``uname -p`` (through
     :mod:`subprocess`) for a processor field it then drops whenever it
     repeats the machine or is unknown.  The same string is composed
-    here from :func:`os.uname` and :func:`platform.libc_ver`, so a
-    ``report --json`` starts no process; elsewhere the stdlib answers.
+    here from :func:`os.uname` and the C library version that
+    ``os.confstr`` reports (where :func:`platform.libc_ver` reads it
+    first), so a ``report --json`` starts no process and loads no
+    :mod:`platform`; elsewhere the stdlib answers.
     """
     if not sys.platform.startswith("linux"):
+        import platform
+
         return platform.platform()
     uname = os.uname()
-    libc, version = platform.libc_ver()
+    try:
+        libc, version = os.confstr("CS_GNU_LIBC_VERSION").split(maxsplit=1)
+    except (AttributeError, ValueError, OSError):
+        import platform
+
+        libc, version = platform.libc_ver()
     parts = [uname.sysname, uname.release, uname.machine, "with",
              libc + version]
     text = "-".join(p.strip() for p in parts if p)

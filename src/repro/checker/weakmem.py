@@ -9,7 +9,7 @@ can verify on our automata:
   graph (every scheduling, every coin, every legal read value) looking
   for either a **consistency** violation (two processors decided
   different values) or a **garbage read** — a read edge whose returned
-  value is outside what :class:`~repro.sim.memory.RegularMemory` would
+  value is outside what :class:`~repro.sim.weak.RegularMemory` would
   allow in the same configuration, i.e. a behavior only safe registers
   exhibit.  The shallowest anomaly is returned as an explicit
   step-by-step witness.
@@ -33,10 +33,11 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import VerificationError
 from repro.sim.config import Configuration
-from repro.sim.memory import RegularMemory, memory_spec
+from repro.sim.memory import memory_spec
 from repro.sim.ops import ReadOp
 from repro.sim.process import Automaton
 from repro.sim.transitions import TransitionCache
+from repro.sim.weak import RegularMemory
 from repro.checker.explorer import successors
 
 

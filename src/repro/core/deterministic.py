@@ -29,7 +29,7 @@ from typing import Callable, Hashable, Optional, Sequence, Tuple
 from repro.core.protocol import ConsensusProtocol
 from repro.errors import ProtocolError
 from repro.sim.ops import BOTTOM, Op, ReadOp, WriteOp
-from repro.sim.process import Branch, RegisterSpec, deterministic
+from repro.sim.process import Branch, RegisterSpec, deterministic, evolve
 
 
 #: rule(pid, my_pref, value_read) -> ("decide", v) | ("write", new_pref)
@@ -95,17 +95,17 @@ class TwoProcessDeterministic(ConsensusProtocol):
     def observe(self, pid: int, state: DetState, op: Op,
                 result: Hashable) -> DetState:
         if state.pc == "init":
-            return dataclasses.replace(state, pc="read")
+            return evolve(state, pc="read")
         if state.pc == "read":
             action, payload = self._rule(pid, state.pref, result)
             if action == "decide":
-                return dataclasses.replace(
+                return evolve(
                     state, pc="done", last_read=result, output=payload
                 )
-            return dataclasses.replace(state, pc="write", last_read=result)
+            return evolve(state, pc="write", last_read=result)
         if state.pc == "write":
             assert isinstance(op, WriteOp)
-            return dataclasses.replace(state, pc="read", pref=op.value)
+            return evolve(state, pc="read", pref=op.value)
         raise ProtocolError(f"observe() on terminal state {state!r}")
 
     def output(self, pid: int, state: DetState) -> Optional[Hashable]:

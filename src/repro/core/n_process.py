@@ -29,7 +29,7 @@ from repro.core.protocol import ConsensusProtocol
 from repro.core.rules import INITIAL, PrefNum, candidate, decision
 from repro.errors import ProtocolError
 from repro.sim.ops import BOTTOM, Op, ReadOp, WriteOp
-from repro.sim.process import Branch, RegisterSpec, deterministic
+from repro.sim.process import Branch, RegisterSpec, deterministic, evolve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,21 +114,21 @@ class NProcessProtocol(ConsensusProtocol):
     def observe(self, pid: int, state: NPState, op: Op,
                 result: Hashable) -> NPState:
         if state.pc == "init":
-            return dataclasses.replace(state, pc="read", read_idx=0, reads=())
+            return evolve(state, pc="read", read_idx=0, reads=())
         if state.pc == "read":
             reads = state.reads + (result,)
             if len(reads) < self.n_processes - 1:
-                return dataclasses.replace(
+                return evolve(
                     state, reads=reads, read_idx=state.read_idx + 1
                 )
             # Phase's reads complete: decide or compute the candidate.
             own = state.reg
             decided = decision(own, reads)
             if decided is not None:
-                return dataclasses.replace(
+                return evolve(
                     state, pc="done", reads=reads, output=decided
                 )
-            return dataclasses.replace(
+            return evolve(
                 state,
                 pc="write",
                 reads=reads,
@@ -137,7 +137,7 @@ class NProcessProtocol(ConsensusProtocol):
             )
         if state.pc == "write":
             assert isinstance(op, WriteOp)
-            return dataclasses.replace(
+            return evolve(
                 state, pc="read", read_idx=0, reads=(), reg=op.value
             )
         raise ProtocolError(f"observe() on terminal state {state!r}")

@@ -31,7 +31,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 from repro.core.protocol import ConsensusProtocol
 from repro.errors import ProtocolError
 from repro.sim.ops import BOTTOM, Op, ReadOp, WriteOp
-from repro.sim.process import Branch, RegisterSpec, deterministic
+from repro.sim.process import Branch, RegisterSpec, deterministic, evolve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,22 +97,22 @@ class NaiveProtocol(ConsensusProtocol):
     def observe(self, pid: int, state: NaiveState, op: Op,
                 result: Hashable) -> NaiveState:
         if state.pc == "init":
-            return dataclasses.replace(state, pc="read", read_idx=0, reads=())
+            return evolve(state, pc="read", read_idx=0, reads=())
         if state.pc == "read":
             reads = state.reads + (result,)
             if len(reads) < self.n_processes - 1:
-                return dataclasses.replace(
+                return evolve(
                     state, reads=reads, read_idx=state.read_idx + 1
                 )
             seen = set(reads) | {state.value}
             if len(seen) == 1 and BOTTOM not in seen:
-                return dataclasses.replace(
+                return evolve(
                     state, pc="done", reads=reads, output=state.value
                 )
-            return dataclasses.replace(state, pc="write", reads=reads)
+            return evolve(state, pc="write", reads=reads)
         if state.pc == "write":
             assert isinstance(op, WriteOp)
-            return dataclasses.replace(
+            return evolve(
                 state, pc="read", read_idx=0, reads=(), value=op.value
             )
         raise ProtocolError(f"observe() on terminal state {state!r}")

@@ -57,7 +57,7 @@ from typing import FrozenSet, Hashable, Optional, Sequence, Tuple
 from repro.core.protocol import ConsensusProtocol
 from repro.errors import ProtocolError
 from repro.sim.ops import Op, ReadOp, WriteOp
-from repro.sim.process import Branch, RegisterSpec, deterministic
+from repro.sim.process import Branch, RegisterSpec, deterministic, evolve
 
 
 class _Mixed:
@@ -375,20 +375,20 @@ class ThreeBoundedProtocol(ConsensusProtocol):
         kind, payload = self._compute(state.reg, state.recent,
                                       (first, second))
         if kind == "dec":
-            return dataclasses.replace(
+            return evolve(
                 state, pc="decwrite", r_first=first, r_second=second,
                 dec_pending=payload,
             )
-        return dataclasses.replace(
+        return evolve(
             state, pc="write", r_first=first, r_second=second, cand=payload,
         )
 
     def observe(self, pid: int, state: TBState, op: Op,
                 result: Hashable) -> TBState:
         if state.pc == "init":
-            return dataclasses.replace(state, pc="read1")
+            return evolve(state, pc="read1")
         if state.pc == "read1":
-            return dataclasses.replace(state, pc="read2", r_first=result)
+            return evolve(state, pc="read2", r_first=result)
         if state.pc == "read2":
             first, second = state.r_first, result
             # Re-read rule: the processor ahead must be read last.  If
@@ -396,14 +396,14 @@ class ThreeBoundedProtocol(ConsensusProtocol):
             # again (decided registers never need a re-read: T1 wins).
             if (first.mode != "dec" and second.mode != "dec"
                     and ahead(first.pos, second.pos) > 0):
-                return dataclasses.replace(
+                return evolve(
                     state, pc="reread", r_second=second
                 )
             return self._finish_reads(state, first, second)
         if state.pc == "reread":
             return self._finish_reads(state, result, state.r_second)
         if state.pc == "decwrite":
-            return dataclasses.replace(
+            return evolve(
                 state, pc="done", reg=op.value, output=state.dec_pending
             )
         if state.pc == "write":
@@ -411,13 +411,13 @@ class ThreeBoundedProtocol(ConsensusProtocol):
             written: BReg = op.value
             if written == state.reg:
                 # Tails: the old value was rewritten; nothing changes.
-                return dataclasses.replace(state, pc="read1")
+                return evolve(state, pc="read1")
             recent = {
                 (p, v) for (p, v) in state.recent
                 if 0 <= ahead(written.pos, p) <= 4
             }
             recent.add((written.pos, written.val))
-            return dataclasses.replace(
+            return evolve(
                 state, pc="read1", reg=written, recent=frozenset(recent)
             )
         raise ProtocolError(f"observe() on terminal state {state!r}")

@@ -38,7 +38,7 @@ from repro.core.protocol import ConsensusProtocol
 from repro.core.rules import INITIAL, PrefNum, candidate, decision
 from repro.errors import ProtocolError
 from repro.sim.ops import BOTTOM, Op, ReadOp, WriteOp
-from repro.sim.process import Branch, RegisterSpec, deterministic
+from repro.sim.process import Branch, RegisterSpec, deterministic, evolve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,20 +199,20 @@ class ThreeUnboundedProtocol(ConsensusProtocol):
         two_copies = self._layout == "srsw"
         if state.pc == "init":
             next_pc = "init2" if two_copies else "read1"
-            return dataclasses.replace(state, pc=next_pc)
+            return evolve(state, pc=next_pc)
         if state.pc == "init2":
-            return dataclasses.replace(state, pc="read1")
+            return evolve(state, pc="read1")
         if state.pc == "read1":
-            return dataclasses.replace(state, pc="read2", read_a=result)
+            return evolve(state, pc="read2", read_a=result)
         if state.pc == "read2":
             own = state.reg
             others = (state.read_a, result)
             decided = self._decision(own, others)
             if decided is not None:
-                return dataclasses.replace(
+                return evolve(
                     state, pc="done", read_b=result, output=decided
                 )
-            return dataclasses.replace(
+            return evolve(
                 state,
                 pc="write",
                 read_b=result,
@@ -222,9 +222,9 @@ class ThreeUnboundedProtocol(ConsensusProtocol):
         if state.pc == "write":
             assert isinstance(op, WriteOp)
             next_pc = "write2" if two_copies else "read1"
-            return dataclasses.replace(state, pc=next_pc, reg=op.value)
+            return evolve(state, pc=next_pc, reg=op.value)
         if state.pc == "write2":
-            return dataclasses.replace(state, pc="read1")
+            return evolve(state, pc="read1")
         raise ProtocolError(f"observe() on terminal state {state!r}")
 
     def output(self, pid: int, state: TUState) -> Optional[Hashable]:

@@ -41,7 +41,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 from repro.core.protocol import ConsensusProtocol
 from repro.errors import ProtocolError
 from repro.sim.ops import BOTTOM, Op, ReadOp, WriteOp
-from repro.sim.process import Branch, RegisterSpec, deterministic
+from repro.sim.process import Branch, RegisterSpec, deterministic, evolve
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,24 +147,24 @@ class TwoProcessProtocol(ConsensusProtocol):
     def observe(self, pid: int, state: TPState, op: Op,
                 result: Hashable) -> TPState:
         if state.pc == "init":
-            return dataclasses.replace(state, pc="read")
+            return evolve(state, pc="read")
         if state.pc == "read":
             v = result
             if v == state.pref or v is BOTTOM:
                 # Line (1): decide r_i and quit.
-                return dataclasses.replace(
+                return evolve(
                     state, pc="done", last_read=v, output=state.pref
                 )
-            return dataclasses.replace(state, pc="write", last_read=v)
+            return evolve(state, pc="write", last_read=v)
         if state.pc == "write":
             if isinstance(op, ReadOp):
                 # skip_redundant_rewrite heads-path: this step was the
                 # next iteration's read; handle it like a "read" step.
                 return self.observe(
-                    pid, dataclasses.replace(state, pc="read"), op, result
+                    pid, evolve(state, pc="read"), op, result
                 )
             assert isinstance(op, WriteOp)
-            return dataclasses.replace(state, pc="read", pref=op.value)
+            return evolve(state, pc="read", pref=op.value)
         raise ProtocolError(f"observe() on terminal state {state!r}")
 
     def output(self, pid: int, state: TPState) -> Optional[Hashable]:

@@ -404,7 +404,7 @@ class CompiledProtocol:
         ``pend`` carries the packed weak-memory pending-write triples
         ``(writer, slot, vid)`` in writer order; it decodes to the
         :attr:`Configuration.mem` snapshot shape (``None`` when empty),
-        matching :meth:`repro.sim.memory.RegularMemory.snapshot`.
+        matching :meth:`repro.sim.weak.RegularMemory.snapshot`.
         """
         return Configuration(
             states=tuple(self.state_obj[s] for s in sids),

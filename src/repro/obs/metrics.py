@@ -288,7 +288,7 @@ class MetricsRegistry(BaseSink):
 
     def on_run_start(self, protocol_name: str, n_processes: int,
                      inputs: Tuple[Hashable, ...]) -> None:
-        self.counter("runs").inc()
+        _add(self.counters, "runs", 1)
         self._run_flips = {}
         self._unread_write = {}
 
@@ -336,39 +336,42 @@ class MetricsRegistry(BaseSink):
         counters = self.counters
         if tally.sched_consults:
             _add(counters, "sched_consults", tally.sched_consults)
+        run_flips = self._run_flips
         if tally.coin_flips:
-            run_flips = self._run_flips
             total = 0
             for pid, flips in tally.coin_flips.items():
                 run_flips[pid] = run_flips.get(pid, 0) + flips
                 total += flips
             _add(counters, "coin_flips", total)
+        writes = tally.writes
         if tally.reads:
             _add(counters, "reads", tally.reads)
         unread = self._unread_write
-        if tally.writes:
-            _add(counters, "writes", tally.writes)
+        if writes:
+            _add(counters, "writes", writes)
             contention = tally.contention
-            for register in tally.opened:
-                if unread.get(register):
-                    contention += 1
+            if unread:
+                for register in tally.opened:
+                    if unread.get(register):
+                        contention += 1
             if contention:
                 _add(counters, "register_contention", contention)
         unread.update(tally.unread)
-        if tally.num_depths:
+        num_depths = tally.num_depths
+        if num_depths:
             gauge = self.gauge("max_num_depth")
-            gauge.set(min(tally.num_depths))
-            gauge.set(max(tally.num_depths))
+            gauge.set(min(num_depths))
+            gauge.set(max(num_depths))
             gauge.set(tally.last_num_depth)
             histogram = self.histogram("num_depth")
-            for depth, count in tally.num_depths.items():
+            for depth, count in num_depths.items():
                 histogram.observe(depth, count)
-        if tally.decisions:
-            _add(counters, "decisions", len(tally.decisions))
+        decisions = tally.decisions
+        if decisions:
+            _add(counters, "decisions", len(decisions))
             steps_to_decide = self.histogram("steps_to_decide")
             flips_per_decision = self.histogram("coin_flips_per_decision")
-            run_flips = self._run_flips
-            for pid, activation in tally.decisions:
+            for pid, activation in decisions:
                 steps_to_decide.observe(activation)
                 flips_per_decision.observe(run_flips.get(pid, 0))
         if tally.steps:
@@ -376,7 +379,7 @@ class MetricsRegistry(BaseSink):
 
     def on_run_end(self, result) -> None:
         if getattr(result, "completed", False):
-            self.counter("runs_completed").inc()
+            _add(self.counters, "runs_completed", 1)
         self.histogram("run_steps").observe(result.total_steps)
         consults = getattr(result, "sched_consults", None)
         if consults is not None:

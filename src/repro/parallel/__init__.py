@@ -14,6 +14,9 @@ so they shard across processes with bit-identical results:
   worker processes (each shard with its own metrics registry /
   journal shard), and deterministically merges everything back into
   one :class:`~repro.sim.runner.BatchStats`.
+* :mod:`repro.parallel.shards` — the shard plan, the shard body and
+  the merge it uses; a serial sweep with no store or supervision runs
+  on them alone (:func:`run_in_process`).
 * :mod:`repro.parallel.supervisor` — the supervision policy:
   :func:`run_supervised` is ``run_parallel`` with a
   :class:`SupervisorPolicy` (deterministic bounded retries, engine
@@ -36,11 +39,14 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.parallel.engine": (
         "BatchSpec",
-        "ShardResult",
         "ShardTask",
         "default_start_method",
-        "plan_shards",
         "run_parallel",
+    ),
+    "repro.parallel.shards": (
+        "ShardResult",
+        "plan_shards",
+        "run_in_process",
         "shard_journal_path",
     ),
     "repro.parallel.supervisor": (

@@ -10,8 +10,12 @@ shards, execute them anywhere, and merge the shards back in index
 order.  The merged result is bit-identical to a serial run with the
 same root seed, at any worker count and any shard size.
 
-:func:`run_parallel` is the one place a sweep is planned, cached,
-executed, committed and merged.  Shards execute either
+:func:`run_parallel` plans, caches, executes, commits and merges every
+sweep that uses a store, supervision, a fault plan or more than one
+worker, with the shard plan, shard body and merge of
+:mod:`repro.parallel.shards`; a serial sweep with none of those runs
+on those alone (:func:`~repro.parallel.shards.run_in_process`), and
+loads neither this module nor the supervisor.  Shards execute either
 
 * **in-process**, on the caller's own runner and sinks, when
   ``workers == 1`` and there is no supervision policy and no fault
@@ -57,7 +61,6 @@ same under both methods.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import sys
 import time
@@ -68,6 +71,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 # in-process path (docs/PERFORMANCE.md, "Start-up").
 from repro.engines import resolve_sim_engine
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel.shards import (ShardResult, execute_shard,
+                                   merge_shards, plan_shards,
+                                   shard_journal_path)
 from repro.parallel.supervisor import (FaultEvent, FaultReport,
                                        SupervisorError, SupervisorPolicy,
                                        degraded_engine)
@@ -127,42 +133,6 @@ class ShardTask:
     telemetry: bool = False
 
 
-@dataclasses.dataclass
-class ShardResult:
-    """What a worker sends back: per-run stats plus shard aggregates."""
-
-    start: int
-    stop: int
-    runs: List
-    metrics: Optional[MetricsRegistry]
-    journal_events: int = 0
-
-
-def plan_shards(n_runs: int, workers: int,
-                shard_size: Optional[int] = None) -> List[Tuple[int, int]]:
-    """Partition ``[0, n_runs)`` into contiguous ``(start, stop)`` shards.
-
-    The default shard size is ``ceil(n_runs / workers)`` — one shard
-    per worker, the lowest-overhead choice for uniform runs.  Pass a
-    smaller ``shard_size`` when per-run cost varies (adversarial
-    schedulers, mixed inputs) so idle workers can load-balance; results
-    are identical either way.
-    """
-    if n_runs < 0:
-        raise ValueError(f"n_runs must be >= 0, got {n_runs}")
-    if shard_size is None:
-        shard_size = max(1, math.ceil(n_runs / max(1, workers)))
-    if shard_size < 1:
-        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
-    return [(start, min(start + shard_size, n_runs))
-            for start in range(0, n_runs, shard_size)]
-
-
-def shard_journal_path(journal_path: str, shard_index: int) -> str:
-    """The temporary path shard ``shard_index`` streams its journal to."""
-    return f"{journal_path}.shard{shard_index:04d}"
-
-
 def _spec_runner(spec: BatchSpec):
     """A sink-less :class:`ExperimentRunner` rebuilt from ``spec``."""
     from repro.sim.runner import ExperimentRunner
@@ -181,38 +151,13 @@ def _spec_runner(spec: BatchSpec):
 def _execute_shard(task: ShardTask, runner, sinks=(),
                    beat: Optional[Callable[[Dict[str, Any]], None]] = None
                    ) -> ShardResult:
-    """Run one shard on ``runner`` with the shard's private sinks.
-
-    ``sinks`` are extra observers (the caller's own, in-process);
-    ``beat`` receives the shard's heartbeat dicts when
-    ``task.telemetry`` is set.  This is the exact code path of every
-    shard, in-process or in a worker.
-    """
-    registry = MetricsRegistry() if task.with_metrics else None
-    journal = None
-    if task.journal_path is not None:
-        from repro.obs.journal import JsonlJournal
-
-        journal = JsonlJournal(task.journal_path,
-                               memory=task.spec.memory.name)
-    shard_sinks = tuple(sinks) + tuple(
-        s for s in (registry, journal) if s is not None)
-    emitter = None
-    if task.telemetry:
-        from repro.obs.telemetry import TelemetryEmitter
-
-        emitter = TelemetryEmitter(task.shard_index, task.stop - task.start,
-                                   beat)
-    runs = runner.run_range(task.start, task.stop, task.max_steps,
-                            sinks=shard_sinks, emitter=emitter)
-    if emitter is not None:
-        emitter.finish()
-    events = 0
-    if journal is not None:
-        events = journal.events_written
-        journal.close()
-    return ShardResult(start=task.start, stop=task.stop, runs=runs,
-                       metrics=registry, journal_events=events)
+    """Run ``task`` on ``runner`` through the shard body,
+    :func:`~repro.parallel.shards.execute_shard`; ``beat`` receives its
+    heartbeats when ``task.telemetry`` is set."""
+    return execute_shard(
+        runner, task.start, task.stop, task.max_steps, task.with_metrics,
+        task.journal_path, task.spec.memory.name, task.shard_index, sinks,
+        beat if task.telemetry else None)
 
 
 def _worker(conn) -> None:
@@ -761,25 +706,9 @@ def run_parallel(
             if part is not None:
                 journal_parts.append(payload.journal_bytes)
 
-    runs = [r for shard in results for r in shard.runs]
-    if with_metrics:
-        for shard in results:
-            registry.merge(shard.metrics)
-
-    journal_events: Optional[int] = None
-    if journal_path is not None and (journal_parts or not quarantined):
-        from repro.obs.journal import adopt_journal, concatenate_journals
-
-        if len(journal_parts) == 1 and isinstance(journal_parts[0], str):
-            # One executed shard: its journal is the batch's journal.
-            adopt_journal(journal_parts[0], journal_path)
-            journal_events = results[0].journal_events
-        else:
-            journal_events = concatenate_journals(journal_parts,
-                                                  journal_path)
-            for part in journal_parts:
-                if isinstance(part, str):
-                    os.remove(part)
+    runs, journal_events = merge_shards(
+        results, registry, journal_path, journal_parts,
+        stitch=bool(journal_parts) or not quarantined)
 
     report.quarantined = sorted(quarantined.values())
     return BatchStats(

@@ -130,7 +130,12 @@ class NaiveKillerAdversary(Scheduler):
     Against the paper's protocols the same strategy is harmless — the
     victim eventually out-races the frozen pair by 2 and decides alone —
     which is exactly the comparison benchmark E4 draws.
+
+    Pure (``pure_choice``) with the default ``register_of`` only, which
+    reads committed registers: a caller's reader may keep state.
     """
+
+    pure_choice = True
 
     def __init__(self, a: int = 0, b: int = 1, victim: int = 2,
                  register_of: Optional[Callable[[SchedulerView, int], Hashable]] = None) -> None:
@@ -140,6 +145,8 @@ class NaiveKillerAdversary(Scheduler):
         self._b = b
         self._victim = victim
         self._register_of = register_of or self._default_register_of
+        if register_of is not None:
+            self.pure_choice = False
 
     @staticmethod
     def _default_register_of(view: SchedulerView, pid: int) -> Hashable:

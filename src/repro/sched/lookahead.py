@@ -42,7 +42,14 @@ class LookaheadAdversary(Scheduler):
         Weight decay per step for decisions occurring deeper in the
         tree; values < 1 make the adversary prefer *delaying* decisions
         over pushing them just past the horizon.
+
+    Pure (``pure_choice``): the choice is a function of the
+    configuration, ``enabled`` and the fixed horizon and discount, so
+    simulations sharing a transition cache must share those too (a
+    runner's factory gives every run the same ones).
     """
+
+    pure_choice = True
 
     def __init__(self, horizon: int = 4, discount: float = 0.9) -> None:
         if horizon < 1:

@@ -220,8 +220,12 @@ class OptimalAdversary(Scheduler):
 
     Configurations outside the policy (which should not occur when the
     protocol and inputs match the solved game) fall back to the lowest
-    enabled pid.
+    enabled pid.  Pure (``pure_choice``): the policy maps
+    configurations to moves, so simulations sharing a transition cache
+    must replay one solution.
     """
+
+    pure_choice = True
 
     def __init__(self, solution: GameSolution) -> None:
         self._solution = solution

@@ -5,7 +5,8 @@ This subpackage implements the computational model the paper defines:
 * processors are state automata taking one atomic register operation per
   step (:mod:`repro.sim.process`),
 * shared registers have declared reader/writer sets
-  (:mod:`repro.sim.registers_file`),
+  (:class:`~repro.sim.process.RegisterSpec`, laid out per run by
+  :mod:`repro.sim.config`),
 * an adversarial scheduler picks which processor moves next, and the
   kernel serializes everything into a single global order
   (:mod:`repro.sim.kernel`),
@@ -29,10 +30,9 @@ _EXPORTS = {
         "AtomicMemory",
         "MemoryModel",
         "MemorySpec",
-        "RegularMemory",
-        "SafeMemory",
         "memory_spec",
     ),
+    "repro.sim.weak": ("RegularMemory", "SafeMemory"),
     "repro.sim.rng": ("ReplayableRng", "derive_seed"),
     "repro.sim.transitions": ("TransitionCache",),
     "repro.sim.trace": ("StepRecord", "Trace"),

@@ -27,7 +27,8 @@ with exactly one step body:
   serves :meth:`Simulation.step` and :meth:`Simulation.step_processor`
   with a one-step budget;
 * the **reference path** (``engine="reference"``) preserves the original
-  kernel verbatim in :meth:`Simulation._step_reference`: an immutable
+  kernel verbatim in :func:`repro.sim.reference.step` (a module of its
+  own, so fast runs never compile it): an immutable
   configuration rebuilt on every step, a fresh ``protocol.branches()``
   + validation + access check per step, and its own hook emissions.
 
@@ -59,18 +60,20 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.engines import resolve_sim_engine
-from repro.errors import ProtocolError, SimulationError
+from repro.errors import SimulationError
 from repro.obs.hooks import BaseSink, RunTally, split_sinks
 from repro.sim.config import Configuration, RegisterLayout
 from repro.sim.memory import MemoryModel, MemorySpec, memory_spec
-from repro.sim.ops import ReadOp, WriteOp
 from repro.sim.process import Automaton
 from repro.sim.rng import ReplayableRng
-from repro.sim.trace import CrashRecord, StepRecord, Trace
 from repro.sim.transitions import TransitionCache
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.trace import StepRecord, Trace
 
 #: The consultation budget of a single step: none, since a scheduler
 #: may inject any number of crashes before it activates a processor.
@@ -317,8 +320,8 @@ class Simulation:
         "crashed", "sched_consults", "read_resolutions", "trace",
         "_fast", "_cache", "_states", "_registers", "_config_cache",
         "_memory", "_mem_atomic", "_read_resolver",
-        "_hub", "_obs", "_tallies", "_trans", "_strict", "_rng",
-        "_proc_rngs", "_view",
+        "_hub", "_obs", "_tallies", "_trans", "_strict",
+        "_proc_rngs",
         "_alive", "_enabled",
     )
 
@@ -398,7 +401,11 @@ class Simulation:
         self.decision_activation: Dict[int, int] = {}
         self.crashed: frozenset = frozenset()
         self.sched_consults = 0
-        self.trace: Optional[Trace] = Trace() if record_trace else None
+        self.trace: Optional[Trace] = None
+        if record_trace:
+            from repro.sim.trace import Trace
+
+            self.trace = Trace()
         # ``_hub`` reaches every sink (run-level and cold events),
         # ``_obs`` the per-step ones; ``_tallies`` and ``_trans`` hold
         # the fast engine's run-tally and transition sinks (None when
@@ -406,9 +413,7 @@ class Simulation:
         self._hub, self._obs, self._tallies, self._trans = split_sinks(
             sinks, fast)
         self._strict = strict
-        self._rng = rng
         self._proc_rngs = rng.children("proc", n)
-        self._view = SchedulerView(self)
         # Incremental alive/enabled views: rebuilt only on the rare
         # crash/decide events, so `finished` and the scheduler API are
         # O(1) per step instead of the seed's two tuple rebuilds.
@@ -433,6 +438,13 @@ class Simulation:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+
+    @property
+    def _view(self) -> SchedulerView:
+        """A view for one consultation (or one loop call's).  Views keep
+        no state, and a simulation holding its own view would be a
+        reference cycle that only the cyclic collector frees."""
+        return SchedulerView(self)
 
     @property
     def configuration(self) -> Configuration:
@@ -500,6 +512,8 @@ class Simulation:
         if self._hub is not None:
             self._hub.crash(pid, self.step_index)
         if self.trace is not None:
+            from repro.sim.trace import CrashRecord
+
             self.trace.append_crash(CrashRecord(index=self.step_index, pid=pid))
 
     def _record_decision(self, pid: int, value: Hashable) -> None:
@@ -627,75 +641,10 @@ class Simulation:
 
     def _step_reference(self, pid: int,
                         forced: Optional[Hashable] = None) -> StepRecord:
-        """One reference-path step: the seed kernel's body.
+        """One reference-path step (:func:`repro.sim.reference.step`)."""
+        from repro.sim.reference import step
 
-        Immutable configuration rebuilt, ``branches()`` validated and
-        access checked every step, register access routed through the
-        memory model.  The differential tests and the kernel benchmark
-        compare the fast path against it; hook emissions follow
-        :meth:`_run_fast`'s order and meaning.
-        """
-        obs = self._obs
-        config = self._config_cache
-        state = config.states[pid]
-        memory = self._memory
-        memory.on_activate(pid)
-        branches = self.protocol.branches(pid, state)
-        if self._strict:
-            self.protocol.validate_branches(branches)
-        if len(branches) == 1:
-            branch = branches[0]
-        else:
-            weights = [b.probability for b in branches]
-            branch = branches[self._proc_rngs[pid].choice_index(weights)]
-            self.coin_flips[pid] += 1
-            if obs is not None:
-                obs.coin_flip(pid, len(branches))
-        op = branch.op
-
-        if isinstance(op, ReadOp):
-            slot = self.layout.check_read(pid, op.register)
-            choices = memory.read_choices(slot)
-            if len(choices) == 1 and forced is None:
-                result: Hashable = choices[0]
-            else:
-                result = self._resolve_read(pid, op.register, choices, forced)
-        elif isinstance(op, WriteOp):
-            slot = self.layout.check_write(pid, op.register)
-            self._check_forced(forced, False, None)
-            memory.write(pid, slot, op.value)
-            result = None
-        else:
-            raise ProtocolError(f"unknown operation {op!r}")
-        if obs is not None:
-            if isinstance(op, ReadOp):
-                obs.read(pid, op.register, result)
-            else:
-                obs.write(pid, op.register, op.value)
-
-        new_state = self.protocol.observe(pid, state, op, result)
-        self._config_cache = Configuration(
-            states=config.states[:pid] + (new_state,)
-            + config.states[pid + 1:],
-            registers=tuple(memory.values),
-            mem=None if self._mem_atomic else memory.snapshot(),
-        )
-        self.activations[pid] += 1
-
-        decided = self.protocol.output(pid, new_state)
-        if decided is not None:
-            self._record_decision(pid, decided)
-            if obs is not None:
-                obs.decision(pid, decided, self.activations[pid])
-
-        record = StepRecord(index=self.step_index, pid=pid, op=op,
-                            result=result, decided=decided)
-        self.step_index += 1
-        if obs is not None:
-            obs.step(record.index, pid, op, result, decided)
-        if self.trace is not None:
-            self.trace.append(record)
-        return record
+        return step(self, pid, forced)
 
     def _run_fast(self, max_steps: int, max_consults: int = _UNBOUNDED,
                   given: Optional[int] = None) -> Optional[StepRecord]:
@@ -758,6 +707,8 @@ class Simulation:
         tallies = self._tallies
         trans = self._trans
         trace = self.trace
+        if trace is not None:
+            from repro.sim.trace import StepRecord
         # Any sink (per-step or tally) means a hub; or a trace.
         observed = self._hub is not None or trace is not None
         # Each live processor's current transition entry: seeded lazily
@@ -951,6 +902,8 @@ class Simulation:
                                  num_depths, last_depth)
 
         if step_index == start + 1 == max_steps:
+            from repro.sim.trace import StepRecord
+
             return StepRecord(index=start, pid=pid, op=op, result=result,
                               decided=decided)
         return None
@@ -966,27 +919,26 @@ class Simulation:
         consults0, flips0, decided0 = base
         names = self.layout.names
         flips = {}
-        for pid, count in enumerate(self.coin_flips.values()):
-            if count != flips0[pid]:
-                flips[pid] = count - flips0[pid]
-        decisions = self.decisions
-        if len(decisions) > decided0:
-            activation = self.decision_activation
-            decided = [(pid, activation[pid])
-                       for pid in list(decisions)[decided0:]]
-        else:
-            decided = []
+        pid = 0
+        for count, was in zip(self.coin_flips.values(), flips0):
+            if count != was:
+                flips[pid] = count - was
+            pid += 1
+        # Decisions and their activations are recorded together, so the
+        # activation map lists the deciders in decision order.
+        decided = list(self.decision_activation.items())
+        if decided0:
+            decided = decided[decided0:]
         touched = {}
-        for slot, flag in enumerate(unread):
+        slot = 0
+        for flag in unread:
             if flag is not None:
                 touched[names[slot]] = flag
-        tally = RunTally(
-            steps=steps, sched_consults=self.sched_consults - consults0,
-            reads=steps - writes, writes=writes, coin_flips=flips,
-            decisions=decided, contention=contention,
-            opened=tuple([names[slot] for slot in opened]),
-            unread=touched, num_depths=num_depths,
-            last_num_depth=last_depth)
+            slot += 1
+        tally = RunTally(steps, self.sched_consults - consults0,
+                         steps - writes, writes, flips, decided, contention,
+                         tuple([names[slot] for slot in opened]), touched,
+                         num_depths, last_depth)
         for sink in tallies:
             sink.on_run_tally(tally)
 
@@ -1025,21 +977,12 @@ class Simulation:
     def result(self) -> RunResult:
         """Snapshot the current run summary."""
         return RunResult(
-            protocol_name=self.protocol.name,
-            inputs=self.inputs,
-            decisions=dict(self.decisions),
-            activations=dict(self.activations),
-            decision_activation=dict(self.decision_activation),
-            coin_flips=dict(self.coin_flips),
-            total_steps=self.step_index,
-            crashed=self.crashed,
-            completed=self.finished,
-            trace=self.trace,
-            final_configuration=self.configuration,
-            sched_consults=self.sched_consults,
-            memory=self._memory.semantics,
-            read_resolutions=self.read_resolutions,
-        )
+            self.protocol.name, self.inputs, dict(self.decisions),
+            dict(self.activations), dict(self.decision_activation),
+            dict(self.coin_flips), self.step_index, self.crashed,
+            not self._enabled, self.trace, self.configuration,
+            self.sched_consults, self._memory.semantics,
+            self.read_resolutions)
 
     # ------------------------------------------------------------------
 

@@ -37,6 +37,8 @@ from typing import Hashable, Optional, Sequence, Tuple
 
 from repro.sim.ops import Op
 
+_setattr = object.__setattr__
+
 
 @dataclasses.dataclass(frozen=True)
 class Branch:
@@ -172,6 +174,28 @@ class Automaton(abc.ABC):
                 raise ProtocolError(
                     f"{self.name}: negative branch probability {branch}"
                 )
+
+
+def evolve(state, **changes):
+    """``dataclasses.replace(state, **changes)`` for a processor state:
+    a frozen dataclass with no ``__post_init__``.
+
+    It sets the instance's fields, with ``changes`` applied, without
+    the per-call field introspection of :func:`dataclasses.replace`,
+    which costs about twice as much; every transition a cache builds
+    makes one.  Setting them one by one keeps the instance dictionary
+    sharing its keys with the class's other instances, as
+    ``__init__`` leaves it.  The copy compares, hashes and pickles as
+    the replaced instance would.
+    """
+    fields = state.__dict__
+    if not changes.keys() <= fields.keys():
+        raise TypeError(f"{type(state).__name__} has no field "
+                        f"{sorted(changes.keys() - fields.keys())}")
+    new = object.__new__(state.__class__)
+    for name, value in fields.items():
+        _setattr(new, name, changes.get(name, value))
+    return new
 
 
 def deterministic(op: Op) -> Tuple[Branch]:

@@ -223,8 +223,8 @@ class _DeferredRng(ReplayableRng):
     """A child stream whose label is folded into its seed on first use.
 
     ``ReplayableRng(_mix_bytes(acc, label))``, except that the fold
-    waits until something draws from the stream or reads its seed: an
-    inputs factory that ignores its stream costs a run no derivation.
+    waits until something draws from the stream or reads its seed: a
+    factory that ignores its stream costs a run no derivation.
     """
 
     __slots__ = ("_pending",)
@@ -249,8 +249,9 @@ class RunStreams:
     streams, seeded exactly as ``ReplayableRng(root_seed).child("run",
     i).child(label)``: the root and ``"run"`` folds are done once per
     batch, the run seed's first mix once per run instead of once per
-    child, and the labels are pre-encoded.  The inputs stream is
-    deferred (:class:`_DeferredRng`).
+    child, and the labels are pre-encoded.  The scheduler and inputs
+    streams are deferred (:class:`_DeferredRng`): a scheduler that
+    draws no coin (an adversary) costs a run no derivation.
     """
 
     __slots__ = ("_base",)
@@ -264,8 +265,7 @@ class RunStreams:
 
     def streams(self, run_index: int) -> tuple:
         acc = _splitmix64(_splitmix64(self._base ^ (run_index & _MASK64)))
-        return (ReplayableRng(_mix_bytes(acc, b"sched")),
-                _DeferredRng(acc, b"inputs"),
+        return (_DeferredRng(acc, b"sched"), _DeferredRng(acc, b"inputs"),
                 ReplayableRng(_mix_bytes(acc, b"kernel")))
 
 

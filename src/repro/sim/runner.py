@@ -43,7 +43,7 @@ SchedulerFactory = Callable[[ReplayableRng], object]
 InputsFactory = Callable[[int, ReplayableRng], Sequence[Hashable]]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class RunStats:
     """Condensed per-run record kept by the runner.
 
@@ -76,20 +76,16 @@ class RunStats:
         and the parallel shard workers, so both produce field-identical
         records for the same seeded run.  The record shares the
         result's maps, which :meth:`Simulation.result` already copied
-        out of the live run.
+        out of the live run, and tests consistency and nontriviality
+        as :attr:`RunResult.consistent` and :attr:`RunResult.nontrivial`
+        do, over one set of the decided values.
         """
-        return cls(
-            run_index=run_index,
-            completed=result.completed,
-            consistent=result.consistent,
-            nontrivial=result.nontrivial,
-            total_steps=result.total_steps,
-            decisions=result.decisions,
-            steps_to_decide=result.decision_activation,
-            coin_flips=result.coin_flips,
-            crashed=result.crashed,
-            sched_consults=result.sched_consults,
-        )
+        values = set(result.decisions.values())
+        return cls(run_index, result.completed, len(values) <= 1,
+                   values.issubset(result.inputs), result.total_steps,
+                   result.decisions, result.decision_activation,
+                   result.coin_flips, result.crashed,
+                   result.sched_consults)
 
 
 @dataclasses.dataclass
@@ -300,6 +296,11 @@ class ExperimentRunner:
         return self._engine
 
     @property
+    def memory(self) -> MemorySpec:
+        """The register semantics every run of the batch executes under."""
+        return self._memory
+
+    @property
     def sinks(self) -> tuple:
         """Every attached sink, in attachment order."""
         return self._sinks
@@ -391,18 +392,9 @@ class ExperimentRunner:
             if cache is None:
                 cache = self._cache = TransitionCache(
                     protocol, strict=self._strict)
-        sim = Simulation(
-            protocol,
-            inputs,
-            scheduler,
-            kernel_rng,
-            record_trace=record_trace,
-            strict=self._strict,
-            sinks=sinks,
-            engine=self._engine_info,
-            cache=cache,
-            memory=self._memory,
-        )
+        sim = Simulation(protocol, inputs, scheduler, kernel_rng,
+                         record_trace, self._strict, sinks, cache,
+                         self._memory, self._engine_info)
         return sim.run(max_steps)
 
     def run_range(self, start: int, stop: int, max_steps: int,
@@ -443,10 +435,13 @@ class ExperimentRunner:
     ) -> BatchStats:
         """Execute ``n_runs`` independent runs and aggregate.
 
-        The batch goes through the one shard executor,
-        :func:`repro.parallel.engine.run_parallel`.  At ``workers=1``
-        with no supervision its shards run in this process, on this
-        runner and its sinks; an attached
+        The batch is planned, executed and merged as shards
+        (:mod:`repro.parallel.shards`).  At ``workers=1`` with no
+        store and no supervision its shards run in this process, on
+        this runner and its sinks, and nothing else is loaded
+        (:func:`~repro.parallel.shards.run_in_process`); every other
+        batch goes through :func:`repro.parallel.engine.run_parallel`.
+        An attached
         :class:`~repro.obs.metrics.MetricsRegistry` receives every
         shard's registry (merged in shard order) and is handed to the
         returned :class:`BatchStats` as ``metrics``.
@@ -500,6 +495,14 @@ class ExperimentRunner:
         gain a ``faults``
         :class:`~repro.parallel.supervisor.FaultReport`.
         """
+        supervise = supervise or policy is not None or fault_plan is not None
+        if workers == 1 and not supervise and store is None:
+            from repro.parallel.shards import run_in_process
+
+            return run_in_process(
+                self, n_runs, max_steps, shard_size=shard_size,
+                journal_path=journal_path, telemetry_path=telemetry_path,
+                registry=self.metrics)
         from repro.parallel.engine import BatchSpec, run_parallel
 
         spec = BatchSpec(
@@ -516,7 +519,7 @@ class ExperimentRunner:
             journal_path=journal_path, telemetry_path=telemetry_path,
             registry=self.metrics, mp_context=mp_context, store=store,
             fault_plan=fault_plan, runner=self)
-        if supervise or policy is not None or fault_plan is not None:
+        if supervise:
             from repro.parallel.supervisor import run_supervised
 
             return run_supervised(spec, n_runs, max_steps, policy=policy,

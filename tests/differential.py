@@ -18,6 +18,7 @@ root seed ``s`` drawing from ``ReplayableRng(s).child("run", i)``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from hypothesis import strategies as st
 
@@ -27,9 +28,12 @@ from repro.core.three_bounded import ThreeBoundedProtocol
 from repro.core.three_unbounded import ThreeUnboundedProtocol
 from repro.core.two_process import TwoProcessProtocol
 from repro.engines import engine_names, resolve_engine
-from repro.sched.adversary import (DisagreementAdversary, ReadValueAdversary,
+from repro.sched.adversary import (DisagreementAdversary,
+                                   NaiveKillerAdversary, ReadValueAdversary,
                                    SplitVoteAdversary)
 from repro.sched.crash import CrashingScheduler, CrashPlan
+from repro.sched.lookahead import LookaheadAdversary
+from repro.sched.optimal import OptimalAdversary, solve_game
 from repro.sched.simple import (BlockScheduler, FixedScheduler,
                                 ObliviousScheduler, RandomScheduler,
                                 RoundRobinScheduler)
@@ -85,6 +89,13 @@ PROTOCOLS = {
                    ("a", "b", "c", "a", "b")),
 }
 
+@functools.lru_cache(maxsize=None)
+def _two_process_game():
+    """The solved two-processor game on the zoo's inputs."""
+    protocol_factory, inputs = PROTOCOLS["two_process"]
+    return solve_game(protocol_factory(), inputs)
+
+
 #: name -> factory of a fresh scheduler from the run's "sched" stream.
 SCHEDULERS = {
     "random": lambda rng: RandomScheduler(rng),
@@ -97,6 +108,9 @@ SCHEDULERS = {
         RandomScheduler(rng), CrashPlan(at_step={3: (1,)})),
     "disagreement": lambda rng: DisagreementAdversary(),
     "split_vote": lambda rng: SplitVoteAdversary(),
+    "lookahead": lambda rng: LookaheadAdversary(2),
+    "optimal": lambda rng: OptimalAdversary(_two_process_game()),
+    "naive_killer": lambda rng: NaiveKillerAdversary(),
     "read_adversary": lambda rng: ReadValueAdversary(
         ForcedReadScheduler(rng), policy="adversarial"),
     "rv_commit": lambda rng: ReadValueAdversary(RandomScheduler(rng),
@@ -121,6 +135,15 @@ RV_POLICIES = ("rv_commit", "rv_adversarial", "rv_random")
 #: they run the consensus protocols only.
 ADVERSARIES = ("disagreement", "split_vote")
 
+#: The other pure adversaries (``pure_choice``) and the consensus
+#: protocols each runs: the optimal policy is the solved two-processor
+#: game's, and the killer needs a victim besides its frozen pair.
+PURE_ADVERSARIES = {
+    "lookahead": CONSENSUS,
+    "optimal": ("two_process",),
+    "naive_killer": ("three_unbounded", "three_bounded", "n_process_4"),
+}
+
 #: (protocol, scheduler, memory): every protocol under every scheduler
 #: but the read-value policies (and every consensus protocol under the
 #: adversaries) with atomic registers, and every consensus protocol
@@ -128,7 +151,8 @@ ADVERSARIES = ("disagreement", "split_vote")
 #: resolution of ``random``) with weak ones.
 CELLS = [(p, s, "atomic") for p in PROTOCOLS for s in SCHEDULERS
          if s not in RV_POLICIES
-         and (p in CONSENSUS or s not in ADVERSARIES)] + [
+         and (p in CONSENSUS or s not in ADVERSARIES)
+         and p in PURE_ADVERSARIES.get(s, (p,))] + [
     (p, s, m) for p in CONSENSUS
     for s in ("random", "read_adversary") + RV_POLICIES
     for m in MEMORIES[1:]]

@@ -2,9 +2,63 @@
 
 from __future__ import annotations
 
+import hashlib
+import sys
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+
+#: SHA-256 prefixes of ``repro [COMMAND...] --help`` at 80 columns under
+#: CPython 3.11, as printed when every command's parser was built for
+#: every invocation.  Building only the invoked command's parser must
+#: not change a byte of them.
+HELP_DIGESTS = {
+    (): "16fbe3e9b78c7b2e",
+    ("solve",): "4635409e759067c3",
+    ("verify",): "ce17ca69b1c98096",
+    ("impossibility",): "f265b1719064f59e",
+    ("game",): "72cba0087e6505b5",
+    ("tower",): "e91ae9482955ffc4",
+    ("report",): "7bbea49540c1dcab",
+    ("trace",): "f67b9864a51ad8ec",
+    ("top",): "12db7c36379352c2",
+    ("journal",): "0c9d13a2d76e3129",
+    ("journal", "verify"): "28bc990b1658c748",
+    ("store",): "a4f397f213622d74",
+    ("store", "ls"): "64fa09b0afedb383",
+    ("store", "show"): "16b8a0e5e405a162",
+    ("store", "verify"): "402e0226a3c52959",
+    ("store", "gc"): "92c13b1bc6aade72",
+}
+
+
+def _help(parse, words, capsys) -> str:
+    with pytest.raises(SystemExit) as exit_info:
+        parse(list(words) + ["--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestHelp:
+    """``repro --help`` lists every command, and each command's help is
+    the one the full parser prints."""
+
+    @pytest.mark.parametrize("words", sorted(HELP_DIGESTS), ids=" ".join)
+    def test_help_bytes_are_unchanged(self, words, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        text = _help(main, words, capsys)
+        assert text == _help(build_parser().parse_args, words, capsys)
+        if sys.version_info[:2] == (3, 11):
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest[:16] == HELP_DIGESTS[words]
+
+    def test_every_command_is_listed(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        text = _help(main, (), capsys)
+        for words in HELP_DIGESTS:
+            if len(words) == 1:
+                assert f"    {words[0]} " in text
 
 
 class TestSolve:

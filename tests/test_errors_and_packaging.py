@@ -49,10 +49,17 @@ REPORT_FORBIDDEN = ("numpy", "repro.checker", "repro.ir", "repro.store",
                     "multiprocessing")
 #: A serial unit ``report`` runs its one shard in process: it loads no
 #: journal, telemetry, fault-injection or pickling module, and neither
-#: the plotting nor the closed-form bounds.
+#: the plotting nor the closed-form bounds.  Nor does it load the
+#: worker pool or the supervisor, the trace recorder, the reference
+#: engine's step body, the weak register models, :mod:`platform`, or
+#: another command's module.
 UNIT_REPORT_FORBIDDEN = REPORT_FORBIDDEN + (
     "repro.obs.journal", "repro.obs.telemetry", "repro.faults", "pickle",
-    "repro.sim.viz", "repro.analysis.theory", "difflib")
+    "repro.sim.viz", "repro.analysis.theory", "difflib",
+    "repro.parallel.engine", "repro.parallel.supervisor", "repro.sim.trace",
+    "repro.sim.reference", "repro.sim.weak", "platform",
+    "repro.commands.solve", "repro.commands.verify", "repro.commands.trace",
+    "repro.commands.store", "repro.commands.top", "repro.commands.journal")
 VERIFY_FORBIDDEN = ("numpy", "repro.ir.vector", "repro.store",
                     "multiprocessing")
 #: The protocol modules a ``--protocol two`` sweep never runs.

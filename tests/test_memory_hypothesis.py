@@ -18,10 +18,11 @@ from repro.obs.hooks import BaseSink
 from repro.sched.simple import RandomScheduler
 from repro.sim.config import RegisterLayout
 from repro.sim.kernel import Simulation
-from repro.sim.memory import AtomicMemory, RegularMemory
+from repro.sim.memory import AtomicMemory
 from repro.sim.ops import BOTTOM
 from repro.sim.process import RegisterSpec
 from repro.sim.rng import ReplayableRng
+from repro.sim.weak import RegularMemory
 
 N_PIDS = 3
 

@@ -41,14 +41,13 @@ from repro.sim.memory import (
     MEMORY_NAMES,
     AtomicMemory,
     MemorySpec,
-    RegularMemory,
-    SafeMemory,
     memory_spec,
 )
 from repro.sim.ops import BOTTOM, ReadOp, WriteOp
 from repro.sim.process import Automaton, Branch, RegisterSpec
 from repro.sim.rng import ReplayableRng
 from repro.sim.runner import ExperimentRunner
+from repro.sim.weak import RegularMemory, SafeMemory
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core.naive import NaiveProtocol
@@ -16,6 +18,8 @@ from repro.sched.adversary import (
     NaiveKillerAdversary,
     SplitVoteAdversary,
 )
+from repro.sched.lookahead import LookaheadAdversary
+from repro.sched.optimal import OptimalAdversary, solve_game
 from repro.sched.simple import FixedScheduler
 from repro.sim.kernel import Simulation
 from repro.sim.rng import ReplayableRng
@@ -186,6 +190,12 @@ def _counted(scheduler, calls):
     return scheduler
 
 
+@functools.lru_cache(maxsize=None)
+def _two_game():
+    """The solved two-processor game on inputs ``(a, b)``."""
+    return solve_game(TwoProcessProtocol(), ("a", "b"))
+
+
 def _batch(engine, make_scheduler, protocol=ThreeUnboundedProtocol,
            inputs=("a", "b", "a"), memory=None, runs=40, seed=5):
     """Run a batch; return its run stats, metrics, events, proc-stream
@@ -223,10 +233,16 @@ class TestPureChoiceMemo:
         (SplitVoteAdversary, ThreeUnboundedProtocol, ("a", "b", "a")),
         (SplitVoteAdversary, TwoProcessProtocol, ("a", "b")),
         (DisagreementAdversary, TwoProcessProtocol, ("a", "b")),
-    ], ids=["split-vote-three", "split-vote-two", "disagreement-two"])
+        (lambda: LookaheadAdversary(2), TwoProcessProtocol, ("a", "b")),
+        (lambda: OptimalAdversary(_two_game()), TwoProcessProtocol,
+         ("a", "b")),
+        (NaiveKillerAdversary, ThreeUnboundedProtocol, ("a", "b", "a")),
+    ], ids=["split-vote-three", "split-vote-two", "disagreement-two",
+            "lookahead-two", "optimal-two", "naive-killer-three"])
     def test_pure_scheduler_is_consulted_less(self, make_scheduler,
                                               protocol, inputs):
         assert make_scheduler().pure_choice
+        assert declares_pure_choice(type(make_scheduler()))
         fast = _batch("fast", make_scheduler, protocol, inputs)
         ref = _batch("reference", make_scheduler, protocol, inputs)
         runs, metrics, events, draws, calls = fast
@@ -237,7 +253,8 @@ class TestPureChoiceMemo:
         assert 0 < calls < consults / 4
 
     @pytest.mark.parametrize("variant", [
-        "overriding-subclass", "custom-extractor", "regular", "safe"])
+        "overriding-subclass", "custom-extractor", "custom-register-of",
+        "regular", "safe"])
     def test_impure_schedulers_are_never_memoized(self, variant):
         class Overriding(SplitVoteAdversary):
             def choose(self, view):
@@ -250,6 +267,10 @@ class TestPureChoiceMemo:
             def make_scheduler():
                 return SplitVoteAdversary(
                     pref_extractor=lambda v: getattr(v, "pref", v))
+        elif variant == "custom-register-of":
+            def make_scheduler():
+                return NaiveKillerAdversary(
+                    register_of=lambda view, pid: view.register(f"r{pid}"))
         else:
             memory = variant
         assert declares_pure_choice(SplitVoteAdversary)

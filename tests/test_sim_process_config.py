@@ -13,6 +13,7 @@ from repro.sim.process import (
     RegisterSpec,
     biased_coin,
     deterministic,
+    evolve,
     fair_coin,
 )
 
@@ -63,6 +64,31 @@ class TestBranchHelpers:
             )
         with pytest.raises(ProtocolError):
             protocol.validate_branches(())
+
+
+class TestEvolve:
+    """``evolve`` is ``dataclasses.replace`` for processor states."""
+
+    def test_matches_replace(self):
+        import dataclasses
+        import pickle
+
+        from repro.core.three_bounded import BReg, TBState
+
+        state = TBState(pc="init", reg=BReg(val="a"),
+                        recent=frozenset({(1, "a")}))
+        new = evolve(state, pc="read2", r_first=BReg(val="b"))
+        want = dataclasses.replace(state, pc="read2", r_first=BReg(val="b"))
+        assert new == want and hash(new) == hash(want)
+        assert repr(new) == repr(want)
+        assert pickle.loads(pickle.dumps(new)) == want
+        assert state.pc == "init"
+
+    def test_unknown_field_is_refused(self):
+        from repro.core.two_process import TPState
+
+        with pytest.raises(TypeError, match="no field"):
+            evolve(TPState(pc="init", pref="a"), prf="b")
 
 
 class TestRegisterSpec:
